@@ -12,13 +12,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .abstention import SurenessScore, calibrate_threshold, distance_bc, distance_wlw
+from .abstention import SurenessScore, calibrate_threshold, sureness
 from .core import (
     CouplingConfig,
-    LabeledBatch,
     Method,
     PlmError,
-    Posterior,
     Stabilization,
 )
 from .coupling import couple, theta_map
@@ -34,9 +32,11 @@ from .fileio import (
     read_posteriors,
     write_confusion,
     write_distances,
+    write_features,
     write_labels,
     write_pairwise,
     write_posteriors,
+    write_report,
     write_summaries,
 )
 from .metrics import accuracy, argmax_predict, confusion_matrix, worst_confused_pair
@@ -80,16 +80,10 @@ def cmd_couple(args) -> int:
             results.append((sid, couple(m, config)))
         except PlmError as exc:
             failures.append((sid, str(exc)))
-    write_posteriors(args.output, results)
-    if failures:
-        with open(args.output, "a", encoding="utf-8", newline="\n") as fh:
-            for sid, msg in failures:
-                fh.write(f"# failed: {sid}: {msg}\n")
-        for sid, msg in failures:
-            print(f"failed: {sid}: {msg}", file=sys.stderr)
-        if args.strict:
-            return 2
-    return 0
+    write_posteriors(args.output, results, failures)
+    for sid, msg in failures:
+        print(f"failed: {sid}: {msg}", file=sys.stderr)
+    return 2 if failures and args.strict else 0
 
 
 def cmd_correct(args) -> int:
@@ -116,24 +110,21 @@ def cmd_correct(args) -> int:
                     pair_accs.append(hits / len(pair_samples))
             pair_acc = sum(pair_accs) / len(pair_accs) if pair_accs else float("nan")
             rows.append((patch_path, mname, pair_acc, multi_acc))
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {FORMAT_VERSION}\n")
-        fh.write("patch,method,pairwise_accuracy,multiclass_accuracy\n")
-        for patch_path, mname, pa, ma in rows:
-            fh.write(f"{patch_path},{mname},{pa:.17g},{ma:.17g}\n")
-        if args.ols:
-            for mname in sorted(_METHODS):
-                pts = [(pa, ma) for _, m, pa, ma in rows if m == mname and np.isfinite(pa)]
-                if len(pts) >= 2:
-                    x, y = np.array(pts).T
-                    slope, intercept = np.polyfit(x, y, 1)
-                    fh.write(f"# ols {mname}: slope={slope:.17g} intercept={intercept:.17g}\n")
+    fits = []
+    if args.ols:
+        for mname in sorted(_METHODS):
+            pts = [(pa, ma) for _, m, pa, ma in rows if m == mname and np.isfinite(pa)]
+            if len(pts) >= 2:
+                x, y = np.array(pts).T
+                slope, intercept = np.polyfit(x, y, 1)
+                fits.append((mname, slope, intercept))
+    write_report(args.output, rows, fits)
     return 0
 
 
 def cmd_bootstrap(args) -> int:
     per_file = [dict(read_pairwise(path)) for path in args.inputs]
-    ids = list(dict(read_pairwise(args.inputs[0])))
+    ids = list(per_file[0])
     for path, d in zip(args.inputs, per_file):
         if set(d) != set(ids):
             raise FormatError(f"{path}: sample_ids differ from {args.inputs[0]}")
@@ -150,14 +141,11 @@ def cmd_bootstrap(args) -> int:
 
 def cmd_distance(args) -> int:
     matrices = read_pairwise(args.input)
-    method = _METHODS[args.method]
-    scores = []
-    for sid, m in matrices:
-        if method is Method.WU_LIN_WENG:
-            d = distance_wlw(m)
-        else:
-            d = distance_bc(m, tau=args.tau)
-        scores.append(SurenessScore(sample_id=sid, method=method, distance=d))
+    config = CouplingConfig(method=_METHODS[args.method], tau=args.tau)
+    scores = [
+        SurenessScore(sample_id=sid, method=config.method, distance=sureness(m, config))
+        for sid, m in matrices
+    ]
     write_distances(args.output, scores)
     return 0
 
@@ -208,11 +196,7 @@ def cmd_synth(args) -> int:
     ]
     write_posteriors(args.posteriors, posteriors)
     if args.features:
-        with open(args.features, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# {FORMAT_VERSION}\n")
-            fh.write("sample_id," + ",".join(f"x_{d}" for d in range(args.dim)) + "\n")
-            for (sid, _), x in zip(batch.samples, features):
-                fh.write(sid + "," + ",".join(f"{v:.17g}" for v in x) + "\n")
+        write_features(args.features, [sid for sid, _ in batch.samples], features)
     return 0
 
 

@@ -223,13 +223,11 @@ def validate_pairwise(matrix: PairwiseLikelihoodMatrix) -> list[str]:
     for i, j in zip(*np.nonzero(bad_range)):
         violations.append(f"entry ({i},{j}) = {m[i, j]:.12g} outside [0, 1]")
     s = m + m.T
-    for i in range(c):
-        for j in range(i + 1, c):
-            if abs(s[i, j] - 1.0) > SYM_TOL:
-                violations.append(
-                    f"complement violation at ({i},{j}): "
-                    f"r_ij + r_ji = {s[i, j]:.12g}, expected 1"
-                )
+    bad_sum = np.triu(np.abs(s - 1.0) > SYM_TOL, k=1)
+    for i, j in zip(*np.nonzero(bad_sum)):
+        violations.append(
+            f"complement violation at ({i},{j}): r_ij + r_ji = {s[i, j]:.12g}, expected 1"
+        )
     return violations
 
 

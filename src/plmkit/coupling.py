@@ -61,30 +61,18 @@ def reconstruct_from_column(matrix: PairwiseLikelihoodMatrix, j: int) -> Posteri
     require_valid_pairwise(matrix)
     m = matrix.entries
     c = matrix.c
-    col = np.delete(m[:, j], j)
+    others = np.arange(c) != j
+    col = m[others, j]
     if np.any(col <= 0.0) or np.any(col >= 1.0):
         raise SingularityError(f"column {j} has an entry at 0 or 1; ratio reconstruction diverges")
     p = np.ones(c)
-    for i in range(c):
-        if i != j:
-            p[i] = m[i, j] / m[j, i]
+    p[others] = col / m[j, others]
     return Posterior(p / p.sum())
 
 
 def _wlw_quadratic(m: np.ndarray) -> np.ndarray:
-    """Matrix Q of the quadratic form p'Qp equal to the pair-residual objective."""
-    c = m.shape[0]
-    q = np.zeros((c, c))
-    for i in range(c):
-        for j in range(c):
-            if i == j:
-                continue
-            # ordered term (r_ij p_j - r_ji p_i)^2
-            q[i, i] += m[j, i] ** 2
-            q[j, j] += m[i, j] ** 2
-            q[i, j] -= m[i, j] * m[j, i]
-            q[j, i] -= m[i, j] * m[j, i]
-    return q
+    """Matrix Q with p'Qp = sum over ordered pairs of (r_ij p_j - r_ji p_i)^2."""
+    return 2.0 * (np.diag((m * m).sum(axis=0)) - m * m.T)
 
 
 def delta2_value(matrix: PairwiseLikelihoodMatrix, p: Posterior) -> float:
@@ -98,55 +86,19 @@ def delta2_value(matrix: PairwiseLikelihoodMatrix, p: Posterior) -> float:
     return float(np.sum(resid**2))
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u + (1.0 - css) / np.arange(1, v.size + 1) > 0)[0][-1]
-    lam = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + lam, 0.0)
-
-
-def _pgd_minimize(q: np.ndarray, p0: np.ndarray, improve_tol: float = 1e-14) -> np.ndarray:
-    """Projected gradient descent for min p'Qp on the simplex, step halving."""
-    p = p0.copy()
-    obj = float(p @ q @ p)
-    step = 1.0
-    for _ in range(100_000):
-        grad = 2.0 * (q @ p)
-        improved = False
-        s = step
-        while s > 1e-18:
-            cand = _project_simplex(p - s * grad)
-            cand_obj = float(cand @ q @ cand)
-            if cand_obj < obj:
-                improved = True
-                break
-            s *= 0.5
-        if not improved:
-            break
-        gain = obj - cand_obj
-        p, obj, step = cand, cand_obj, min(s * 2.0, 1.0)
-        if gain < improve_tol:
-            break
-    return p
-
-
 def couple_wlw(matrix: PairwiseLikelihoodMatrix) -> Posterior:
     """Couple by minimizing the quadratic pair-residual objective on the simplex.
 
     The stationarity conditions under the sum-to-one constraint form a dense
-    (c+1) x (c+1) linear system which is solved directly.  If the direct
-    solution leaves the simplex by more than floating-point noise, projected
-    gradient descent takes over to enforce feasibility.
+    (c+1) x (c+1) linear system which is solved directly.  Wu, Lin & Weng
+    (2004) show the non-negativity constraints are then redundant, so a
+    solution below zero by more than floating-point noise is an error.
     """
     require_valid_pairwise(matrix)
     c = matrix.c
-    q = _wlw_quadratic(matrix.entries)
-    aug = np.zeros((c + 1, c + 1))
-    aug[:c, :c] = q
-    aug[:c, c] = 1.0
-    aug[c, :c] = 1.0
+    aug = np.ones((c + 1, c + 1))
+    aug[:c, :c] = _wlw_quadratic(matrix.entries)
+    aug[c, c] = 0.0
     rhs = np.zeros(c + 1)
     rhs[c] = 1.0
     try:
@@ -158,9 +110,8 @@ def couple_wlw(matrix: PairwiseLikelihoodMatrix) -> Posterior:
         ) from exc
     p = sol[:c]
     if np.min(p) < -_NEG_CLAMP:
-        p = _pgd_minimize(q, np.full(c, 1.0 / c))
-    else:
-        p = np.clip(p, 0.0, None)
+        raise NumericalFailureError(f"direct solve left the simplex: min p = {np.min(p):.3e}")
+    p = np.clip(p, 0.0, None)
     return Posterior(p / p.sum())
 
 

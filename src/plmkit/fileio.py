@@ -44,13 +44,16 @@ def _writer(path):
 
 # -- posterior files: sample_id,p_0,...,p_{c-1} ------------------------------
 
-def write_posteriors(path, posteriors: list[tuple[str, Posterior]]) -> None:
+def write_posteriors(path, posteriors: list[tuple[str, Posterior]], failures=()) -> None:
+    """Rows per posterior, then one ``# failed:`` comment per sample that failed."""
     fh, w = _writer(path)
     with fh:
         c = posteriors[0][1].c if posteriors else 0
         w.writerow(["sample_id"] + [f"p_{k}" for k in range(c)])
         for sid, p in posteriors:
             w.writerow([sid] + [_fmt(x) for x in p.probs])
+        for sid, msg in failures:
+            fh.write(f"# failed: {sid}: {msg}\n")
 
 
 def read_posteriors(path) -> list[tuple[str, Posterior]]:
@@ -233,6 +236,29 @@ def write_summaries(path, summaries: list) -> None:
                     + [_fmt(s.maximum[k])]
                 )
             w.writerow([sid, "excluded", s.n_excluded] + [""] * (len(SUMMARY_HEADER) - 3))
+
+
+# -- correction reports: patch,method,pairwise_accuracy,multiclass_accuracy --
+
+def write_report(path, rows: list, fits: list) -> None:
+    """One row per (patch, method), then one ``# ols`` comment per fitted method."""
+    fh, w = _writer(path)
+    with fh:
+        w.writerow(["patch", "method", "pairwise_accuracy", "multiclass_accuracy"])
+        for patch, method, pair_acc, multi_acc in rows:
+            w.writerow([patch, method, _fmt(pair_acc), _fmt(multi_acc)])
+        for method, slope, intercept in fits:
+            fh.write(f"# ols {method}: slope={_fmt(slope)} intercept={_fmt(intercept)}\n")
+
+
+# -- feature files: sample_id,x_0,...,x_{dim-1} ------------------------------
+
+def write_features(path, sample_ids: list[str], features: np.ndarray) -> None:
+    fh, w = _writer(path)
+    with fh:
+        w.writerow(["sample_id"] + [f"x_{d}" for d in range(features.shape[1])])
+        for sid, x in zip(sample_ids, features):
+            w.writerow([sid] + [_fmt(v) for v in x])
 
 
 # -- confusion matrix files --------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,23 @@ class TestCorrect:
         accs = {r[1]: float(r[3]) for r in rows}
         assert accs["wlw"] == accs["bc"]
 
+    def test_patch_path_with_comma_round_trips(self, tmp_path, posterior_file):
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, LabeledBatch(samples=(("a", 2), ("b", 2), ("c", 0)), c=3))
+        patches = [tmp_path / "p,1.csv", tmp_path / "p,2.csv"]
+        patches[0].write_text("i,j,prob_i\n0,1,0.9\n")
+        patches[1].write_text("i,j,prob_i\n0,2,0.1\n")
+        out = tmp_path / "report.csv"
+        args = ["correct", str(posterior_file), str(labels), str(out), "--ols"]
+        assert main(args + ["--patch", str(patches[0]), "--patch", str(patches[1])]) == 0
+        lines = out.read_text().splitlines()
+        rows = list(csv.reader(l for l in lines if not l.startswith("#")))
+        assert rows[0] == ["patch", "method", "pairwise_accuracy", "multiclass_accuracy"]
+        assert [r[:2] for r in rows[1:]] == [
+            [str(p), m] for p in patches for m in ("bc", "wlw")
+        ]
+        assert [l.split(":")[0] for l in lines[-2:]] == ["# ols bc", "# ols wlw"]
+
     def test_patch_class_out_of_range(self, tmp_path, posterior_file, capsys):
         labels = tmp_path / "labels.csv"
         write_labels(labels, LabeledBatch(samples=(("a", 2), ("b", 2), ("c", 0)), c=3))
@@ -122,6 +141,7 @@ class TestCorrect:
              "--patch", str(patch)]
         )
         assert rc == 1
+        assert not (tmp_path / "r.csv").exists()
 
     def test_missing_labels(self, tmp_path, posterior_file):
         labels = tmp_path / "labels.csv"
@@ -225,6 +245,16 @@ class TestSynth:
         posteriors = read_posteriors(post)
         assert len(posteriors) == 20
         assert all(p.c == 4 for _, p in posteriors)
+
+    def test_features_file(self, tmp_path):
+        post, labels, feats = (tmp_path / name for name in ("p.csv", "l.csv", "f.csv"))
+        args = ["--c", "3", "--dim", "2", "--n-per-class", "4", "--features", str(feats)]
+        assert main(["synth", str(post), str(labels)] + args) == 0
+        lines = feats.read_text().splitlines()
+        assert lines[:2] == ["# plm-v1", "sample_id,x_0,x_1"]
+        rows = list(csv.reader(lines[2:]))
+        assert [r[0] for r in rows] == [sid for sid, _ in read_posteriors(post)]
+        assert all(len(r) == 3 and np.isfinite([float(x) for x in r[1:]]).all() for r in rows)
 
 
 class TestVersionFlag:

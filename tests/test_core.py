@@ -70,6 +70,19 @@ class TestValidatePairwise:
         )
         assert any("outside [0, 1]" in v for v in validate_pairwise(m))
 
+    def test_full_message_list(self):
+        m = np.full((4, 4), 0.5)
+        np.fill_diagonal(m, 0.0)
+        m[2, 2] = 0.25
+        m[1, 2] = 1.25
+        m[3, 0] = 0.25
+        assert validate_pairwise(PairwiseLikelihoodMatrix(m)) == [
+            "diagonal entry (2,2) is 0.25, expected exactly 0",
+            "entry (1,2) = 1.25 outside [0, 1]",
+            "complement violation at (0,3): r_ij + r_ji = 0.75, expected 1",
+            "complement violation at (1,2): r_ij + r_ji = 1.75, expected 1",
+        ]
+
     def test_nonsquare_is_structural(self):
         with pytest.raises(ShapeError):
             PairwiseLikelihoodMatrix([[0.0, 0.4, 0.2], [0.6, 0.0, 0.7]])

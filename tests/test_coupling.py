@@ -21,7 +21,8 @@ from plmkit import (
     theta_of,
     validate_pairwise,
 )
-from oracles import random_offmanifold, random_posterior
+from plmkit.coupling import _wlw_quadratic
+from oracles import quadratic_form, random_offmanifold, random_posterior
 
 OFF_MANIFOLD = PairwiseLikelihoodMatrix(
     [[0.0, 0.6, 0.6], [0.4, 0.0, 0.6], [0.4, 0.4, 0.0]]
@@ -131,6 +132,34 @@ class TestCoupleWlw:
         )
         p = couple_wlw(m)
         assert p.probs.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("c", [2, 3, 5, 10, 40])
+    def test_closed_form_quadratic_matches_loop(self, c):
+        m = random_offmanifold(np.random.default_rng(c), c)
+        ref = quadratic_form(m)
+        assert np.max(np.abs(_wlw_quadratic(m) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    # Wu, Lin & Weng (2004): the non-negativity constraints are redundant, so the
+    # direct solve alone must stay on the simplex, boundary entries included.
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(min_value=2, max_value=12))
+    def test_direct_solve_stays_on_simplex(self, data, c):
+        entry = st.one_of(
+            st.sampled_from([0.0, 1.0, 1e-300, 1e-12, 1e-9, 1.0 - 1e-9, 1.0 - 1e-12]),
+            st.floats(min_value=0.0, max_value=1.0),
+        )
+        upper = data.draw(st.lists(entry, min_size=c * (c - 1) // 2, max_size=c * (c - 1) // 2))
+        m = np.zeros((c, c))
+        iu = np.triu_indices(c, k=1)
+        m[iu] = upper
+        m[(iu[1], iu[0])] = 1.0 - m[iu]
+        matrix = PairwiseLikelihoodMatrix(m)
+        tau = data.draw(st.sampled_from([None, 1e-6, 1e-3, 0.1]))
+        if tau is not None:
+            matrix = stabilize_clip(matrix, tau)
+        p = couple_wlw(matrix).probs
+        assert np.all(p >= 0.0)
+        assert abs(p.sum() - 1.0) <= 1e-9
 
 
 class TestCoupleBc:

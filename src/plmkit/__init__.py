@@ -25,8 +25,10 @@ from .core import (
     validate_pairwise,
 )
 from .coupling import (
+    CoupledStack,
     couple,
     couple_bc,
+    couple_stack,
     couple_wlw,
     delta2_value,
     extend_posterior,
@@ -44,6 +46,8 @@ from .abstention import (
     calibrate_threshold,
     distance_bc,
     distance_wlw,
+    sureness,
+    sureness_stack,
 )
 from .ensemble import (
     CorrectionPatch,

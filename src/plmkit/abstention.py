@@ -14,15 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingConfig, Method, PairwiseLikelihoodMatrix, Posterior
-from .coupling import (
-    bc_potentials,
-    couple,
-    couple_wlw,
-    delta2_value,
-    stabilize_clip,
-    theta_of,
-)
+from .core import CouplingConfig, Method, PairwiseLikelihoodMatrix, Posterior, Stabilization
+from .coupling import CoupledStack, couple, couple_stack
 
 
 @dataclass(frozen=True)
@@ -43,9 +36,32 @@ class Abstain:
     distance: float
 
 
+def sureness_stack(stack: np.ndarray, config: CouplingConfig) -> CoupledStack:
+    """Couple an (N, c, c) stack the way ``config.method``'s distance is measured.
+
+    The ``residual`` of the result is each matrix's distance: the objective
+    value of the unstabilized quadratic coupling, or the log-odds projection
+    residual after clipping into [tau, 1 - tau], mirroring how the log-odds
+    coupling is run in practice.
+    """
+    if config.method is Method.WU_LIN_WENG:
+        measured = CouplingConfig(method=Method.WU_LIN_WENG)
+    else:
+        measured = CouplingConfig(
+            method=Method.BAYES_COVARIANT, stabilization=Stabilization.CLIP, tau=config.tau
+        )
+    return couple_stack(stack, measured)
+
+
+def _distance(matrix: PairwiseLikelihoodMatrix, config: CouplingConfig) -> CoupledStack:
+    coupled = sureness_stack(matrix.entries[None], config)
+    coupled.raise_first()
+    return coupled
+
+
 def distance_wlw(matrix: PairwiseLikelihoodMatrix) -> float:
     """Residual objective value at the quadratic coupling's minimizer."""
-    return delta2_value(matrix, couple_wlw(matrix))
+    return float(_distance(matrix, CouplingConfig()).residual[0])
 
 
 def distance_bc(matrix: PairwiseLikelihoodMatrix, tau: float = 1e-3) -> float:
@@ -54,11 +70,8 @@ def distance_bc(matrix: PairwiseLikelihoodMatrix, tau: float = 1e-3) -> float:
     Entries are clipped into [tau, 1 - tau] first, mirroring how the log-odds
     coupling is run in practice.
     """
-    theta = theta_of(stabilize_clip(matrix, tau))
-    v = bc_potentials(theta)
-    resid = theta.entries - (v[None, :] - v[:, None])
-    iu = np.triu_indices(matrix.c, k=1)
-    return float(np.linalg.norm(resid[iu]))
+    config = CouplingConfig(method=Method.BAYES_COVARIANT, tau=tau)
+    return float(_distance(matrix, config).residual[0])
 
 
 def sureness(matrix: PairwiseLikelihoodMatrix, config: CouplingConfig) -> float:
@@ -89,7 +102,13 @@ def abstaining_predict(
     """Couple the matrix, or abstain when its manifold distance exceeds the threshold."""
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    d = sureness(matrix, config)
+    coupled = _distance(matrix, config)
+    d = float(coupled.residual[0])
     if d > threshold:
         return Abstain(distance=d)
+    # the distance's own coupling is the answer when it runs the configured one
+    if config.stabilization is (
+        Stabilization.NONE if config.method is Method.WU_LIN_WENG else Stabilization.CLIP
+    ):
+        return coupled.posterior(0)
     return couple(matrix, config)

@@ -12,16 +12,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .abstention import SurenessScore, calibrate_threshold, sureness
+from .abstention import SurenessScore, calibrate_threshold, sureness_stack
 from .core import (
     CouplingConfig,
     Method,
     PlmError,
     Stabilization,
 )
-from .coupling import couple, theta_map
+from .coupling import couple_stack, theta_map
 from .datagen import BlobSpec, bayes_posterior_blobs, generate_blobs
-from .ensemble import CorrectionPatch, bootstrap_recombine, ensemble_summary, partial_correct
+from .ensemble import CorrectionPatch, correct_stack, recombine_stack, summarize
 from .fileio import (
     FORMAT_VERSION,
     FormatError,
@@ -71,13 +71,20 @@ def cmd_restrict(args) -> int:
     return 0
 
 
+def _stack(matrices) -> np.ndarray:
+    """The (N, c, c) stack of a pairwise file, which holds a single c."""
+    if not matrices:
+        return np.zeros((0, 2, 2))
+    return np.stack([m.entries for _, m in matrices])
+
+
 def cmd_couple(args) -> int:
     matrices = read_pairwise(args.input)
-    config = _config(args)
+    coupled = couple_stack(_stack(matrices), _config(args))
     results, failures = [], []
-    for sid, m in matrices:
+    for k, (sid, _) in enumerate(matrices):
         try:
-            results.append((sid, couple(m, config)))
+            results.append((sid, coupled.posterior(k)))
         except PlmError as exc:
             failures.append((sid, str(exc)))
     write_posteriors(args.output, results, failures)
@@ -88,19 +95,20 @@ def cmd_couple(args) -> int:
 
 def cmd_correct(args) -> int:
     posteriors = read_posteriors(args.posteriors)
-    labels = read_labels(args.labels, c=posteriors[0][1].c if posteriors else None)
+    if not posteriors:
+        raise FormatError(f"{args.posteriors}: no samples to correct")
+    labels = read_labels(args.labels, c=posteriors[0][1].c)
     truth = labels.labels_by_id()
+    probs = np.stack([p.probs for _, p in posteriors])
     rows = []
     for patch_path in args.patch:
         triples = read_patch(patch_path)
-        patch = CorrectionPatch(pairs=tuple(triples))
+        patched = correct_stack(probs, CorrectionPatch(pairs=tuple(triples)))
         for mname, method in sorted(_METHODS.items()):
-            config = CouplingConfig(method=method)
-            preds = []
-            for sid, p in posteriors:
-                q = couple(partial_correct(p, patch), config)
-                preds.append((sid, argmax_predict(q)))
-            multi_acc = accuracy(preds, labels)
+            coupled = couple_stack(patched, CouplingConfig(method=method))
+            coupled.raise_first()
+            winners = np.argmax(coupled.probs, axis=1).tolist()
+            multi_acc = accuracy([(sid, w) for (sid, _), w in zip(posteriors, winners)], labels)
             pair_accs = []
             for i, j, q in triples:
                 pair_samples = [sid for sid, _ in posteriors if truth[sid] in (i, j)]
@@ -114,8 +122,11 @@ def cmd_correct(args) -> int:
     if args.ols:
         for mname in sorted(_METHODS):
             pts = [(pa, ma) for _, m, pa, ma in rows if m == mname and np.isfinite(pa)]
-            if len(pts) >= 2:
-                x, y = np.array(pts).T
+            x, y = np.array(pts).reshape(-1, 2).T
+            if np.unique(x).size < 2:
+                # a line through fewer than two distinct x values is undefined
+                fits.append((mname, None, None))
+            else:
                 slope, intercept = np.polyfit(x, y, 1)
                 fits.append((mname, slope, intercept))
     write_report(args.output, rows, fits)
@@ -131,10 +142,9 @@ def cmd_bootstrap(args) -> int:
     config = CouplingConfig(method=_METHODS[args.method])
     summaries = []
     for s_index, sid in enumerate(ids):
-        sources = [d[sid] for d in per_file]
         # per-sample seed offset keeps samples independent of processing order
-        recombined = bootstrap_recombine(sources, args.n, args.seed + s_index)
-        summaries.append((sid, ensemble_summary(recombined, config)))
+        stack = recombine_stack([d[sid] for d in per_file], args.n, args.seed + s_index)
+        summaries.append((sid, summarize(couple_stack(stack, config))))
     write_summaries(args.output, summaries)
     return 0
 
@@ -142,9 +152,11 @@ def cmd_bootstrap(args) -> int:
 def cmd_distance(args) -> int:
     matrices = read_pairwise(args.input)
     config = CouplingConfig(method=_METHODS[args.method], tau=args.tau)
+    coupled = sureness_stack(_stack(matrices), config)
+    coupled.raise_first()
     scores = [
-        SurenessScore(sample_id=sid, method=config.method, distance=sureness(m, config))
-        for sid, m in matrices
+        SurenessScore(sample_id=sid, method=config.method, distance=float(d))
+        for (sid, _), d in zip(matrices, coupled.residual)
     ]
     write_distances(args.output, scores)
     return 0

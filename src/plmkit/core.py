@@ -204,6 +204,39 @@ class BinaryPrediction:
         return 1.0 - self.prob_a
 
 
+def pairwise_violations(stack: np.ndarray) -> dict[int, list[str]]:
+    """Check the pairwise-matrix invariants on every matrix of an (N, c, c) stack.
+
+    Returns the violation messages of each invalid matrix, keyed by its row;
+    valid rows are absent, so messages are formatted only for rows that fail.
+    The input is never mutated.
+    """
+    c = stack.shape[-1]
+    diag_bad = np.diagonal(stack, axis1=1, axis2=2) != 0.0
+    off = ~np.eye(c, dtype=bool)
+    range_bad = off & ((stack < 0.0) | (stack > 1.0))
+    s = stack + np.swapaxes(stack, 1, 2)
+    sum_bad = np.triu(np.abs(s - 1.0) > SYM_TOL, k=1)
+    bad = diag_bad.any(axis=1) | range_bad.any(axis=(1, 2)) | sum_bad.any(axis=(1, 2))
+    out = {}
+    for row in np.nonzero(bad)[0]:
+        m = stack[row]
+        violations = [
+            f"diagonal entry ({k},{k}) is {m[k, k]:.12g}, expected exactly 0"
+            for k in np.nonzero(diag_bad[row])[0]
+        ]
+        violations += [
+            f"entry ({i},{j}) = {m[i, j]:.12g} outside [0, 1]"
+            for i, j in zip(*np.nonzero(range_bad[row]))
+        ]
+        violations += [
+            f"complement violation at ({i},{j}): r_ij + r_ji = {s[row, i, j]:.12g}, expected 1"
+            for i, j in zip(*np.nonzero(sum_bad[row]))
+        ]
+        out[int(row)] = violations
+    return out
+
+
 def validate_pairwise(matrix: PairwiseLikelihoodMatrix) -> list[str]:
     """Check the pairwise-matrix invariants, returning a list of violations.
 
@@ -212,23 +245,7 @@ def validate_pairwise(matrix: PairwiseLikelihoodMatrix) -> list[str]:
     ``PairwiseLikelihoodMatrix`` constructor instead, so by the time a value
     reaches this function only the probabilistic invariants can fail.
     """
-    m = matrix.entries
-    c = matrix.c
-    violations = []
-    diag = np.diagonal(m)
-    for k in np.nonzero(diag != 0.0)[0]:
-        violations.append(f"diagonal entry ({k},{k}) is {diag[k]:.12g}, expected exactly 0")
-    off = ~np.eye(c, dtype=bool)
-    bad_range = off & ((m < 0.0) | (m > 1.0))
-    for i, j in zip(*np.nonzero(bad_range)):
-        violations.append(f"entry ({i},{j}) = {m[i, j]:.12g} outside [0, 1]")
-    s = m + m.T
-    bad_sum = np.triu(np.abs(s - 1.0) > SYM_TOL, k=1)
-    for i, j in zip(*np.nonzero(bad_sum)):
-        violations.append(
-            f"complement violation at ({i},{j}): r_ij + r_ji = {s[i, j]:.12g}, expected 1"
-        )
-    return violations
+    return pairwise_violations(matrix.entries[None]).get(0, [])
 
 
 def require_valid_pairwise(matrix: PairwiseLikelihoodMatrix) -> None:

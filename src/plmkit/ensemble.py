@@ -20,7 +20,7 @@ from .core import (
     Posterior,
     ShapeError,
 )
-from .coupling import couple, theta_map
+from .coupling import CoupledStack, couple_stack, theta_map_stack
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,19 @@ class EnsembleSummary:
     n_excluded: int
 
 
+def correct_stack(probs: np.ndarray, patch: CorrectionPatch) -> np.ndarray:
+    """Pairwise matrices of an (N, c) posterior stack with the patched pairs' entries replaced."""
+    patch.check_classes(probs.shape[1])
+    m = theta_map_stack(probs)
+    for i, j, q in patch.pairs:
+        m[:, i, j] = q
+        m[:, j, i] = 1.0 - q
+    return m
+
+
 def partial_correct(p: Posterior, patch: CorrectionPatch) -> PairwiseLikelihoodMatrix:
     """Pairwise matrix of ``p`` with the patched pairs' entries replaced."""
-    patch.check_classes(p.c)
-    m = theta_map(p).entries.copy()
-    for i, j, q in patch.pairs:
-        m[i, j] = q
-        m[j, i] = 1.0 - q
-    return PairwiseLikelihoodMatrix(m)
+    return PairwiseLikelihoodMatrix(correct_stack(p.probs[None], patch)[0])
 
 
 def _pair_rng(seed: int, index: int) -> np.random.Generator:
@@ -76,10 +81,8 @@ def _pair_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
-def bootstrap_recombine(
-    sources: list[PairwiseLikelihoodMatrix], n: int, seed: int
-) -> list[PairwiseLikelihoodMatrix]:
-    """Build ``n`` matrices, each pair's entries drawn from a uniformly random source.
+def recombine_stack(sources: list[PairwiseLikelihoodMatrix], n: int, seed: int) -> np.ndarray:
+    """Build an (n, c, c) stack, each pair's entries drawn from a uniformly random source.
 
     Pairs move atomically with their complements, so every output satisfies
     the pairwise invariants whenever the sources do.  Deterministic given
@@ -93,43 +96,52 @@ def bootstrap_recombine(
             raise ShapeError(f"source class counts differ: {s.c} vs {c}")
     stack = np.stack([s.entries for s in sources])
     iu = np.triu_indices(c, k=1)
-    n_pairs = iu[0].size
-    out = []
+    choice = np.zeros((n, iu[0].size), dtype=np.int64)
     for k in range(n):
-        choice = _pair_rng(seed, k).integers(0, len(sources), size=n_pairs)
-        m = np.zeros((c, c))
-        m[iu] = stack[choice, iu[0], iu[1]]
-        m[(iu[1], iu[0])] = stack[choice, iu[1], iu[0]]
-        out.append(PairwiseLikelihoodMatrix(m))
+        choice[k] = _pair_rng(seed, k).integers(0, len(sources), size=iu[0].size)
+    out = np.zeros((n, c, c))
+    out[:, iu[0], iu[1]] = stack[choice, iu[0], iu[1]]
+    out[:, iu[1], iu[0]] = stack[choice, iu[1], iu[0]]
     return out
 
 
-def ensemble_summary(
-    matrices: list[PairwiseLikelihoodMatrix], config: CouplingConfig
-) -> EnsembleSummary:
-    """Couple every matrix and aggregate per-class statistics.
+def bootstrap_recombine(
+    sources: list[PairwiseLikelihoodMatrix], n: int, seed: int
+) -> list[PairwiseLikelihoodMatrix]:
+    """Build ``n`` matrices, each pair's entries drawn from a uniformly random source.
 
-    Matrices that fail to couple are excluded and counted rather than
-    aborting the whole summary.
+    The matrices of :func:`recombine_stack`, one object each.
     """
-    if not matrices:
+    return [PairwiseLikelihoodMatrix(m) for m in recombine_stack(sources, n, seed)]
+
+
+def summarize(coupled: CoupledStack) -> EnsembleSummary:
+    """Aggregate per-class statistics over the rows of a coupled stack.
+
+    Rows that failed to couple are excluded and counted rather than aborting
+    the whole summary.
+    """
+    if not coupled.errors:
         raise ValueError("need at least one matrix")
-    rows = []
-    excluded = 0
-    for m in matrices:
-        try:
-            rows.append(couple(m, config).probs)
-        except PlmError:
-            excluded += 1
-    if not rows:
+    ok = np.array([e is None for e in coupled.errors])
+    if not ok.any():
         raise PlmError("every matrix failed to couple")
-    arr = np.array(rows)
+    arr = coupled.probs[ok]
     return EnsembleSummary(
         mean=arr.mean(axis=0),
         sd=arr.std(axis=0, ddof=0),
         minimum=arr.min(axis=0),
         maximum=arr.max(axis=0),
         deciles=np.quantile(arr, np.linspace(0.1, 0.9, 9), axis=0),
-        n_samples=len(rows),
-        n_excluded=excluded,
+        n_samples=int(ok.sum()),
+        n_excluded=int((~ok).sum()),
     )
+
+
+def ensemble_summary(
+    matrices: list[PairwiseLikelihoodMatrix], config: CouplingConfig
+) -> EnsembleSummary:
+    """Couple every matrix and aggregate per-class statistics (see :func:`summarize`)."""
+    if not matrices:
+        raise ValueError("need at least one matrix")
+    return summarize(couple_stack(np.stack([m.entries for m in matrices]), config))

@@ -67,9 +67,13 @@ def read_posteriors(path) -> list[tuple[str, Posterior]]:
     if c < 2 and len(rows) > 1:
         raise FormatError(f"{path}:{lineno}: need at least two probability columns")
     out = []
+    seen = set()
     for lineno, row in rows[1:]:
         if len(row) != c + 1:
             raise FormatError(f"{path}:{lineno}: expected {c + 1} fields, got {len(row)}")
+        if row[0] in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate sample_id {row[0]!r}")
+        seen.add(row[0])
         try:
             probs = np.array([float(x) for x in row[1:]])
             out.append((row[0], Posterior(probs)))
@@ -91,7 +95,11 @@ def write_pairwise(path, matrices: list[tuple[str, PairwiseLikelihoodMatrix]]) -
 
 
 def read_pairwise(path) -> list[tuple[str, PairwiseLikelihoodMatrix]]:
-    """Reassemble full matrices; the lower triangle is set to complements."""
+    """Reassemble full matrices; the lower triangle is set to complements.
+
+    Every sample must have the class count of the first one, so a file is
+    one (N, c, c) stack.
+    """
     rows = _rows(path)
     if not rows:
         raise FormatError(f"{path}: missing header row")
@@ -99,7 +107,7 @@ def read_pairwise(path) -> list[tuple[str, PairwiseLikelihoodMatrix]]:
     if header != ["sample_id", "i", "j", "r_ij"]:
         raise FormatError(f"{path}:{lineno}: expected header sample_id,i,j,r_ij")
     triples: dict[str, dict[tuple[int, int], float]] = {}
-    order: list[str] = []
+    first_line: dict[str, int] = {}
     for lineno, row in rows[1:]:
         if len(row) != 4:
             raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
@@ -114,17 +122,21 @@ def read_pairwise(path) -> list[tuple[str, PairwiseLikelihoodMatrix]]:
             raise FormatError(f"{path}:{lineno}: r_ij = {r} outside [0, 1]")
         if sid not in triples:
             triples[sid] = {}
-            order.append(sid)
+            first_line[sid] = lineno
         if (i, j) in triples[sid]:
             raise FormatError(f"{path}:{lineno}: duplicate pair ({i},{j}) for sample {sid!r}")
         triples[sid][(i, j)] = r
     out = []
-    for sid in order:
-        pairs = triples[sid]
+    for sid, pairs in triples.items():
         c = max(j for _, j in pairs) + 1
         expected = {(i, j) for i in range(c) for j in range(i + 1, c)}
         if set(pairs) != expected:
             raise FormatError(f"{path}: sample {sid!r} has incomplete pair set for c={c}")
+        if out and c != out[0][1].c:
+            raise FormatError(
+                f"{path}:{first_line[sid]}: sample {sid!r} has c={c}, "
+                f"but the first sample has c={out[0][1].c}"
+            )
         m = np.zeros((c, c))
         for (i, j), r in pairs.items():
             m[i, j] = r
@@ -208,9 +220,12 @@ def read_distances(path) -> list[tuple[str, str, float]]:
         if len(row) != 3:
             raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
         try:
-            out.append((row[0], row[1], float(row[2])))
+            distance = float(row[2])
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        if not (np.isfinite(distance) and distance >= 0.0):
+            raise FormatError(f"{path}:{lineno}: distance {row[2]!r} is not finite and non-negative")
+        out.append((row[0], row[1], distance))
     return out
 
 
@@ -241,14 +256,20 @@ def write_summaries(path, summaries: list) -> None:
 # -- correction reports: patch,method,pairwise_accuracy,multiclass_accuracy --
 
 def write_report(path, rows: list, fits: list) -> None:
-    """One row per (patch, method), then one ``# ols`` comment per fitted method."""
+    """One row per (patch, method), then one ``# ols`` comment per fitted method.
+
+    A fit whose slope is ``None`` is written as undefined.
+    """
     fh, w = _writer(path)
     with fh:
         w.writerow(["patch", "method", "pairwise_accuracy", "multiclass_accuracy"])
         for patch, method, pair_acc, multi_acc in rows:
             w.writerow([patch, method, _fmt(pair_acc), _fmt(multi_acc)])
         for method, slope, intercept in fits:
-            fh.write(f"# ols {method}: slope={_fmt(slope)} intercept={_fmt(intercept)}\n")
+            if slope is None:
+                fh.write(f"# ols {method}: undefined (pairwise_accuracy has no spread)\n")
+            else:
+                fh.write(f"# ols {method}: slope={_fmt(slope)} intercept={_fmt(intercept)}\n")
 
 
 # -- feature files: sample_id,x_0,...,x_{dim-1} ------------------------------

@@ -8,16 +8,19 @@ from plmkit import (
     PairwiseLikelihoodMatrix,
     Posterior,
     SingularityError,
+    Stabilization,
     abstaining_predict,
     calibrate_threshold,
+    couple,
     couple_wlw,
     delta2_value,
     distance_bc,
     distance_wlw,
     perturb_manifold,
+    sureness,
     theta_map,
 )
-from oracles import random_posterior
+from oracles import random_offmanifold, random_posterior
 
 OFF_MANIFOLD = PairwiseLikelihoodMatrix(
     [[0.0, 0.6, 0.6], [0.4, 0.0, 0.6], [0.4, 0.4, 0.0]]
@@ -118,3 +121,20 @@ class TestAbstainingPredict:
     def test_infinite_threshold_rejected(self):
         with pytest.raises(ValueError):
             abstaining_predict(OFF_MANIFOLD, CouplingConfig(), float("inf"))
+
+    @pytest.mark.parametrize("stabilization", list(Stabilization))
+    @pytest.mark.parametrize("method", list(Method))
+    def test_single_coupling_matches_separate_calls(self, method, stabilization):
+        rng = np.random.default_rng(43)
+        config = CouplingConfig(method=method, stabilization=stabilization)
+        mats = [PairwiseLikelihoodMatrix(random_offmanifold(rng, 5)) for _ in range(40)]
+        threshold = float(np.median([sureness(m, config) for m in mats]))
+        kinds = set()
+        for m in mats:
+            out = abstaining_predict(m, config, threshold)
+            kinds.add(type(out))
+            if isinstance(out, Abstain):
+                assert out.distance == sureness(m, config)
+            else:
+                assert out == couple(m, config)
+        assert kinds == {Abstain, Posterior}

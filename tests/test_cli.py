@@ -155,6 +155,56 @@ class TestCorrect:
         assert rc == 1
 
 
+    def test_ols_without_spread_is_undefined(self, tmp_path, posterior_file):
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, LabeledBatch(samples=(("a", 2), ("b", 2), ("c", 0)), c=3))
+        patches = [tmp_path / "p1.csv", tmp_path / "p2.csv"]
+        patches[0].write_text("i,j,prob_i\n0,1,0.9\n")
+        patches[1].write_text("i,j,prob_i\n0,1,0.8\n")  # same winner: same pair accuracy
+        out = tmp_path / "report.csv"
+        args = ["correct", str(posterior_file), str(labels), str(out), "--ols"]
+        assert main(args + ["--patch", str(patches[0]), "--patch", str(patches[1])]) == 0
+        ols = [l for l in out.read_text().splitlines() if l.startswith("# ols ")]
+        assert ols == [
+            f"# ols {m}: undefined (pairwise_accuracy has no spread)" for m in ("bc", "wlw")
+        ]
+
+    def test_empty_posteriors_rejected(self, tmp_path, capsys):
+        post = tmp_path / "post.csv"
+        post.write_text("sample_id,p_0,p_1\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("sample_id,label\n")
+        patch = tmp_path / "patch.csv"
+        patch.write_text("i,j,prob_i\n0,1,0.5\n")
+        rc = main(["correct", str(post), str(labels), str(tmp_path / "r.csv"), "--patch", str(patch)])
+        assert rc == 1
+        assert "no samples" in capsys.readouterr().err
+
+
+class TestReaders:
+    def test_pairwise_mixed_class_counts(self, tmp_path, capsys):
+        pair = tmp_path / "pair.csv"
+        pair.write_text(
+            "sample_id,i,j,r_ij\na,0,1,0.5\nb,0,1,0.4\nb,0,2,0.3\nb,1,2,0.6\n"
+        )
+        assert main(["couple", str(pair), str(tmp_path / "out.csv")]) == 1
+        assert ":3:" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_posteriors_duplicate_sample_id(self, tmp_path, capsys):
+        post = tmp_path / "post.csv"
+        post.write_text("sample_id,p_0,p_1\na,0.5,0.5\nb,0.2,0.8\na,0.3,0.7\n")
+        assert main(["restrict", str(post), str(tmp_path / "pair.csv")]) == 1
+        assert ":4: duplicate sample_id 'a'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5"])
+    def test_distances_must_be_finite_non_negative(self, tmp_path, capsys, bad):
+        dist = tmp_path / "dist.csv"
+        dist.write_text(f"sample_id,method,distance\na,bc,0.1\nb,bc,{bad}\nc,bc,0.2\n")
+        assert main(["calibrate", str(dist)]) == 1
+        assert ":3:" in capsys.readouterr().err
+
+
 class TestBootstrap:
     def _write_sources(self, tmp_path):
         p1 = Posterior([0.2, 0.3, 0.5])

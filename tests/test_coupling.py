@@ -4,12 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plmkit import (
+    CouplingConfig,
     EmptyResultError,
+    Method,
+    NumericalFailureError,
     PairwiseLikelihoodMatrix,
+    PlmError,
     Posterior,
     ShapeError,
     SingularityError,
+    Stabilization,
+    couple,
     couple_bc,
+    couple_stack,
     couple_wlw,
     delta2_value,
     extend_posterior,
@@ -21,7 +28,7 @@ from plmkit import (
     theta_of,
     validate_pairwise,
 )
-from plmkit.coupling import _wlw_quadratic
+from plmkit.coupling import _solve_augmented, _wlw_quadratic
 from oracles import quadratic_form, random_offmanifold, random_posterior
 
 OFF_MANIFOLD = PairwiseLikelihoodMatrix(
@@ -327,3 +334,83 @@ class TestProperties:
                 assert d2 < 1e-12
             else:
                 assert d2 >= 1e-12
+
+
+CONFIGS = [
+    CouplingConfig(method=method, stabilization=stabilization)
+    for method in Method
+    for stabilization in Stabilization
+]
+
+
+def _stack_row(data, c):
+    """One matrix: interior, boundary (0/1) and drop-triggering entries, and
+    sometimes a broken complement."""
+    entry = st.one_of(
+        st.sampled_from([0.0, 1.0, 1e-5, 1.0 - 1e-5, 0.5]),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    upper = data.draw(st.lists(entry, min_size=c * (c - 1) // 2, max_size=c * (c - 1) // 2))
+    m = np.zeros((c, c))
+    iu = np.triu_indices(c, k=1)
+    m[iu] = upper
+    m[(iu[1], iu[0])] = 1.0 - m[iu]
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(min_value=0, max_value=iu[0].size - 1))
+        m[iu[1][k], iu[0][k]] = (m[iu[1][k], iu[0][k]] + 0.25) % 1.0
+    return m
+
+
+class TestCoupleStack:
+    # every row of a stack is coupled exactly as it would be alone: same
+    # posterior and residual bit for bit, same error type and text
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=6))
+    def test_rows_equal_single_calls(self, data, c, n):
+        stack = np.array([_stack_row(data, c) for _ in range(n)])
+        for config in CONFIGS:
+            coupled = couple_stack(stack, config)
+            for k in range(n):
+                alone = couple_stack(stack[k : k + 1], config)
+                np.testing.assert_array_equal(coupled.probs[k], alone.probs[0])
+                np.testing.assert_array_equal(coupled.residual[k], alone.residual[0])
+                try:
+                    expected = couple(PairwiseLikelihoodMatrix(stack[k]), config)
+                except PlmError as exc:
+                    got = coupled.errors[k]
+                    assert type(got) is type(exc) and str(got) == str(exc)
+                    assert np.all(np.isnan(coupled.probs[k]))
+                else:
+                    assert coupled.errors[k] is None
+                    np.testing.assert_array_equal(coupled.probs[k], expected.probs)
+
+    def test_bad_row_is_isolated(self):
+        good = theta_map(Posterior([0.2, 0.3, 0.5])).entries
+        broken = good.copy()
+        broken[1, 0] = 0.9
+        coupled = couple_stack(np.array([good, broken, good]), CouplingConfig())
+        assert coupled.errors[0] is None and coupled.errors[2] is None
+        assert "complement violation at (0,1)" in str(coupled.errors[1])
+        np.testing.assert_allclose(coupled.probs[[0, 2]], [[0.2, 0.3, 0.5]] * 2, atol=1e-9)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_empty_stack(self, config):
+        coupled = couple_stack(np.zeros((0, 4, 4)), config)
+        assert coupled.probs.shape == (0, 4) and coupled.errors == ()
+
+    def test_non_finite_stack_rejected(self):
+        stack = np.full((2, 3, 3), 0.5) - 0.5 * np.eye(3)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ShapeError):
+            couple_stack(stack, CouplingConfig())
+
+    def test_singular_system_fails_its_row_only(self):
+        aug = np.ones((2, 3, 3))
+        aug[:, 2, 2] = 0.0
+        aug[0, :2, :2] = 0.0  # Q = 0: the first two rows coincide
+        aug[1, :2, :2] = np.eye(2)
+        errors = {}
+        sol = _solve_augmented(aug, errors)
+        assert list(errors) == [0] and isinstance(errors[0], NumericalFailureError)
+        assert "singular" in str(errors[0])
+        np.testing.assert_allclose(sol[1, :2], [0.5, 0.5])

@@ -19,7 +19,7 @@ from .core import (
     PlmError,
     Stabilization,
 )
-from .coupling import couple_stack, theta_map
+from .coupling import couple_stack, theta_map_stack
 from .datagen import BlobSpec, bayes_posterior_blobs, generate_blobs
 from .ensemble import CorrectionPatch, correct_stack, recombine_stack, summarize
 from .fileio import (
@@ -27,19 +27,20 @@ from .fileio import (
     FormatError,
     read_distances,
     read_labels,
-    read_pairwise,
+    read_pairwise_stack,
     read_patch,
-    read_posteriors,
+    read_posterior_stack,
     write_confusion,
     write_distances,
     write_features,
     write_labels,
-    write_pairwise,
+    write_pairwise_stack,
+    write_posterior_stack,
     write_posteriors,
     write_report,
     write_summaries,
 )
-from .metrics import accuracy, argmax_predict, confusion_matrix, worst_confused_pair
+from .metrics import accuracy, confusion_matrix, worst_confused_pair
 
 _METHODS = {"wlw": Method.WU_LIN_WENG, "bc": Method.BAYES_COVARIANT}
 _STABILIZERS = {
@@ -66,40 +67,30 @@ def _add_coupling_flags(sub, default_stabilize="none"):
 
 
 def cmd_restrict(args) -> int:
-    posteriors = read_posteriors(args.input)
-    write_pairwise(args.output, [(sid, theta_map(p)) for sid, p in posteriors])
+    ids, probs = read_posterior_stack(args.input)
+    write_pairwise_stack(args.output, ids, theta_map_stack(probs))
     return 0
 
 
-def _stack(matrices) -> np.ndarray:
-    """The (N, c, c) stack of a pairwise file, which holds a single c."""
-    if not matrices:
-        return np.zeros((0, 2, 2))
-    return np.stack([m.entries for _, m in matrices])
-
-
 def cmd_couple(args) -> int:
-    matrices = read_pairwise(args.input)
-    coupled = couple_stack(_stack(matrices), _config(args))
-    results, failures = [], []
-    for k, (sid, _) in enumerate(matrices):
-        try:
-            results.append((sid, coupled.posterior(k)))
-        except PlmError as exc:
-            failures.append((sid, str(exc)))
-    write_posteriors(args.output, results, failures)
+    ids, stack = read_pairwise_stack(args.input)
+    coupled = couple_stack(stack, _config(args))
+    ok = np.array([error is None for error in coupled.errors], dtype=bool)
+    failures = [(sid, str(error)) for sid, error in zip(ids, coupled.errors) if error is not None]
+    write_posterior_stack(
+        args.output, [sid for sid, good in zip(ids, ok) if good], coupled.probs[ok], failures
+    )
     for sid, msg in failures:
         print(f"failed: {sid}: {msg}", file=sys.stderr)
     return 2 if failures and args.strict else 0
 
 
 def cmd_correct(args) -> int:
-    posteriors = read_posteriors(args.posteriors)
-    if not posteriors:
+    ids, probs = read_posterior_stack(args.posteriors)
+    if not ids:
         raise FormatError(f"{args.posteriors}: no samples to correct")
-    labels = read_labels(args.labels, c=posteriors[0][1].c)
+    labels = read_labels(args.labels, c=probs.shape[1])
     truth = labels.labels_by_id()
-    probs = np.stack([p.probs for _, p in posteriors])
     rows = []
     for patch_path in args.patch:
         triples = read_patch(patch_path)
@@ -108,10 +99,10 @@ def cmd_correct(args) -> int:
             coupled = couple_stack(patched, CouplingConfig(method=method))
             coupled.raise_first()
             winners = np.argmax(coupled.probs, axis=1).tolist()
-            multi_acc = accuracy([(sid, w) for (sid, _), w in zip(posteriors, winners)], labels)
+            multi_acc = accuracy(list(zip(ids, winners)), labels)
             pair_accs = []
             for i, j, q in triples:
-                pair_samples = [sid for sid, _ in posteriors if truth[sid] in (i, j)]
+                pair_samples = [sid for sid in ids if truth[sid] in (i, j)]
                 if pair_samples:
                     predicted = i if q >= 0.5 else j
                     hits = sum(1 for sid in pair_samples if truth[sid] == predicted)
@@ -134,29 +125,38 @@ def cmd_correct(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    per_file = [dict(read_pairwise(path)) for path in args.inputs]
-    ids = list(per_file[0])
-    for path, d in zip(args.inputs, per_file):
-        if set(d) != set(ids):
+    files = [read_pairwise_stack(path) for path in args.inputs]
+    ids, first = files[0]
+    aligned = []
+    for path, (file_ids, stack) in zip(args.inputs, files):
+        if set(file_ids) != set(ids):
             raise FormatError(f"{path}: sample_ids differ from {args.inputs[0]}")
+        if stack.shape[1] != first.shape[1]:
+            raise FormatError(
+                f"{path}: class count c={stack.shape[1]} differs from "
+                f"c={first.shape[1]} of {args.inputs[0]}"
+            )
+        row = {sid: k for k, sid in enumerate(file_ids)}
+        aligned.append(stack[[row[sid] for sid in ids]])
+    sources = np.stack(aligned, axis=1)  # (N, files, c, c)
     config = CouplingConfig(method=_METHODS[args.method])
     summaries = []
     for s_index, sid in enumerate(ids):
         # per-sample seed offset keeps samples independent of processing order
-        stack = recombine_stack([d[sid] for d in per_file], args.n, args.seed + s_index)
+        stack = recombine_stack(sources[s_index], args.n, args.seed + s_index)
         summaries.append((sid, summarize(couple_stack(stack, config))))
     write_summaries(args.output, summaries)
     return 0
 
 
 def cmd_distance(args) -> int:
-    matrices = read_pairwise(args.input)
+    ids, stack = read_pairwise_stack(args.input)
     config = CouplingConfig(method=_METHODS[args.method], tau=args.tau)
-    coupled = sureness_stack(_stack(matrices), config)
+    coupled = sureness_stack(stack, config)
     coupled.raise_first()
     scores = [
         SurenessScore(sample_id=sid, method=config.method, distance=float(d))
-        for (sid, _), d in zip(matrices, coupled.residual)
+        for sid, d in zip(ids, coupled.residual)
     ]
     write_distances(args.output, scores)
     return 0
@@ -170,9 +170,10 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    posteriors = read_posteriors(args.posteriors)
-    labels = read_labels(args.labels, c=posteriors[0][1].c if posteriors else None)
-    preds = [(sid, argmax_predict(p)) for sid, p in posteriors]
+    ids, probs = read_posterior_stack(args.posteriors)
+    labels = read_labels(args.labels, c=probs.shape[1] if ids else None)
+    # ties go to the lowest index
+    preds = [(sid, int(np.argmax(p))) for sid, p in zip(ids, probs)]
     acc = accuracy(preds, labels)
     counts = confusion_matrix(preds, labels)
     write_confusion(args.confusion, counts)

@@ -8,6 +8,7 @@ read-only inputs.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +58,9 @@ class Posterior:
         p = self.probs
         if p.ndim != 1 or p.size < 2:
             raise ShapeError(f"posterior must be a vector of length >= 2, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise InvalidDistributionError("posterior contains non-finite entries")
-        if np.any(p < 0) or np.any(p > 1):
-            raise InvalidDistributionError("posterior entries must lie in [0, 1]")
-        if abs(p.sum() - 1.0) > SUM_TOL:
-            raise InvalidDistributionError(
-                f"posterior sums to {p.sum():.12g}, outside tolerance {SUM_TOL}"
-            )
+        violation = posterior_violations(p[None]).get(0)
+        if violation is not None:
+            raise InvalidDistributionError(violation)
 
     @property
     def c(self) -> int:
@@ -202,6 +198,54 @@ class BinaryPrediction:
     @property
     def prob_b(self) -> float:
         return 1.0 - self.prob_a
+
+
+def posterior_violations(probs: np.ndarray) -> dict[int, str]:
+    """Check the simplex invariants on every row of an (N, c) stack of posteriors.
+
+    Returns the first violated invariant of each invalid row, keyed by its
+    row; valid rows are absent, so messages are formatted only for rows that
+    fail.
+    """
+    finite = np.isfinite(probs).all(axis=1)
+    in_range = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
+    sums = probs.sum(axis=1)
+    out = {}
+    for row in np.nonzero(~(finite & in_range & (np.abs(sums - 1.0) <= SUM_TOL)))[0]:
+        if not finite[row]:
+            out[int(row)] = "posterior contains non-finite entries"
+        elif not in_range[row]:
+            out[int(row)] = "posterior entries must lie in [0, 1]"
+        else:
+            out[int(row)] = f"posterior sums to {sums[row]:.12g}, outside tolerance {SUM_TOL}"
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def triu_index(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of a c x c matrix.
+
+    Pairs come in row-major order, the row order of the pairwise file format.
+    The arrays are cached per ``c`` and read-only.
+    """
+    rows, cols = np.triu_indices(c, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def from_upper(upper: np.ndarray, c: int) -> np.ndarray:
+    """Pairwise matrices from their strict upper triangles.
+
+    ``upper`` is (N, c(c-1)/2) in :func:`triu_index` order.  Every lower entry
+    is exactly one minus its upper entry and the diagonal is zero, so the
+    (N, c, c) result meets the pair-sum invariant exactly.
+    """
+    rows, cols = triu_index(c)
+    out = np.zeros((len(upper), c, c))
+    out[:, rows, cols] = upper
+    out[:, cols, rows] = 1.0 - upper
+    return out
 
 
 def pairwise_violations(stack: np.ndarray) -> dict[int, list[str]]:

@@ -33,6 +33,7 @@ from .core import (
     ThetaMatrix,
     pairwise_violations,
     require_valid_pairwise,
+    triu_index,
 )
 
 _NEG_CLAMP = 1e-9
@@ -198,8 +199,8 @@ def _bc_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = th.sum(axis=1) / th.shape[-1]
     w = np.exp(v - v.max(axis=1, keepdims=True))
     p = w / w.sum(axis=1, keepdims=True)
-    iu = np.triu_indices(m.shape[-1], k=1)
-    resid = np.ascontiguousarray((th - (v[:, None, :] - v[:, :, None]))[:, iu[0], iu[1]])
+    rows, cols = triu_index(m.shape[-1])
+    resid = np.ascontiguousarray((th - (v[:, None, :] - v[:, :, None]))[:, rows, cols])
     # one BLAS dot per row, as np.linalg.norm computes a vector's norm
     return p, np.sqrt((resid[:, None, :] @ resid[:, :, None])[:, 0, 0])
 
@@ -227,14 +228,14 @@ def _couple_method(m: np.ndarray, method: Method, errors: dict) -> tuple[np.ndar
 def _clip_stack(stack: np.ndarray, tau: float) -> np.ndarray:
     """Every off-diagonal entry forced into [tau, 1 - tau], complements kept exact."""
     c = stack.shape[-1]
-    iu = np.triu_indices(c, k=1)
+    rows, cols = triu_index(c)
     m = stack.copy()
-    orig = m[:, iu[0], iu[1]]
+    orig = m[:, rows, cols]
     upper = np.clip(orig, tau, 1.0 - tau)
     changed = upper != orig
-    m[:, iu[0], iu[1]] = upper
+    m[:, rows, cols] = upper
     # untouched pairs keep their original complements bit-for-bit
-    m[:, iu[1], iu[0]] = np.where(changed, 1.0 - upper, m[:, iu[1], iu[0]])
+    m[:, cols, rows] = np.where(changed, 1.0 - upper, m[:, cols, rows])
     m[:, np.arange(c), np.arange(c)] = 0.0
     return m
 

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledBatch, PairwiseLikelihoodMatrix, Posterior, SingularityError
+from .core import (
+    LabeledBatch,
+    PairwiseLikelihoodMatrix,
+    Posterior,
+    SingularityError,
+    from_upper,
+    triu_index,
+)
 from .coupling import theta_map
 
 
@@ -161,15 +168,10 @@ def perturb_manifold(p: Posterior, noise_scale: float, seed: int) -> PairwiseLik
     c = p.c
     theta = np.where(~np.eye(c, dtype=bool), np.log(1.0 / np.maximum(base, 1e-300) - 1.0), 0.0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    iu = np.triu_indices(c, k=1)
+    iu = triu_index(c)
     noise = np.zeros((c, c))
     noise[iu] = noise_scale * rng.standard_normal(iu[0].size)
     theta = theta + noise - noise.T
     r = 1.0 / (1.0 + np.exp(theta))
-    np.fill_diagonal(r, 0.0)
-    # exact complements: write the upper triangle, derive the lower
-    iu = np.triu_indices(c, k=1)
-    out = np.zeros((c, c))
-    out[iu] = r[iu]
-    out[(iu[1], iu[0])] = 1.0 - r[iu]
-    return PairwiseLikelihoodMatrix(out)
+    # exact complements: keep the upper triangle, derive the lower
+    return PairwiseLikelihoodMatrix(from_upper(r[iu][None], c)[0])

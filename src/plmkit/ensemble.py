@@ -19,6 +19,7 @@ from .core import (
     PlmError,
     Posterior,
     ShapeError,
+    triu_index,
 )
 from .coupling import CoupledStack, couple_stack, theta_map_stack
 
@@ -81,8 +82,9 @@ def _pair_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
-def recombine_stack(sources: list[PairwiseLikelihoodMatrix], n: int, seed: int) -> np.ndarray:
-    """Build an (n, c, c) stack, each pair's entries drawn from a uniformly random source.
+def recombine_stack(sources: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Build an (n, c, c) stack from an (S, c, c) stack of source matrices,
+    each pair's entries drawn from a uniformly random source.
 
     Pairs move atomically with their complements, so every output satisfies
     the pairwise invariants whenever the sources do.  Deterministic given
@@ -90,18 +92,14 @@ def recombine_stack(sources: list[PairwiseLikelihoodMatrix], n: int, seed: int) 
     """
     if len(sources) < 2:
         raise ValueError("need at least two source matrices")
-    c = sources[0].c
-    for s in sources[1:]:
-        if s.c != c:
-            raise ShapeError(f"source class counts differ: {s.c} vs {c}")
-    stack = np.stack([s.entries for s in sources])
-    iu = np.triu_indices(c, k=1)
-    choice = np.zeros((n, iu[0].size), dtype=np.int64)
+    c = sources.shape[-1]
+    rows, cols = triu_index(c)
+    choice = np.zeros((n, rows.size), dtype=np.int64)
     for k in range(n):
-        choice[k] = _pair_rng(seed, k).integers(0, len(sources), size=iu[0].size)
+        choice[k] = _pair_rng(seed, k).integers(0, len(sources), size=rows.size)
     out = np.zeros((n, c, c))
-    out[:, iu[0], iu[1]] = stack[choice, iu[0], iu[1]]
-    out[:, iu[1], iu[0]] = stack[choice, iu[1], iu[0]]
+    out[:, rows, cols] = sources[choice, rows, cols]
+    out[:, cols, rows] = sources[choice, cols, rows]
     return out
 
 
@@ -112,7 +110,11 @@ def bootstrap_recombine(
 
     The matrices of :func:`recombine_stack`, one object each.
     """
-    return [PairwiseLikelihoodMatrix(m) for m in recombine_stack(sources, n, seed)]
+    for s in sources[1:]:
+        if s.c != sources[0].c:
+            raise ShapeError(f"source class counts differ: {s.c} vs {sources[0].c}")
+    stack = np.array([s.entries for s in sources])
+    return [PairwiseLikelihoodMatrix(m) for m in recombine_stack(stack, n, seed)]
 
 
 def summarize(coupled: CoupledStack) -> EnsembleSummary:

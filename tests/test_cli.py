@@ -246,6 +246,16 @@ class TestBootstrap:
         assert main(["bootstrap", str(a), str(b), str(tmp_path / "o.csv")]) == 1
 
 
+    def test_class_count_mismatch_names_file(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        write_pairwise(a, [("s0", theta_map(Posterior([0.1, 0.2, 0.3, 0.4])))])
+        write_pairwise(b, [("s0", theta_map(Posterior([0.2, 0.3, 0.5])))])
+        assert main(["bootstrap", str(a), str(b), str(tmp_path / "o.csv")]) == 1
+        assert f"error: {b}: class count c=3 differs from c=4 of {a}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+
 class TestDistanceCalibrate:
     def test_distance_on_restrict_output_is_zero(self, tmp_path, posterior_file):
         pair = tmp_path / "pair.csv"

@@ -12,6 +12,7 @@ from plmkit import (
     ThetaMatrix,
     validate_pairwise,
 )
+from plmkit.core import from_upper, posterior_violations, triu_index
 
 
 class TestPosterior:
@@ -93,6 +94,38 @@ class TestValidatePairwise:
         before = m.entries.copy()
         validate_pairwise(m)
         assert np.array_equal(m.entries, before)
+
+
+class TestPosteriorViolations:
+    def test_rows_match_the_constructor(self):
+        probs = np.array(
+            [[0.5, 0.5], [np.nan, 1.0], [-0.25, 1.25], [0.5, 0.6], [0.25, 0.75]]
+        )
+        found = posterior_violations(probs)
+        assert sorted(found) == [1, 2, 3]
+        for row, message in found.items():
+            with pytest.raises(InvalidDistributionError) as exc:
+                Posterior(probs[row])
+            assert str(exc.value) == message
+        assert found[3] == "posterior sums to 1.1, outside tolerance 1e-09"
+
+
+class TestTriangle:
+    @pytest.mark.parametrize("c", [0, 1, 2, 5])
+    def test_cached_read_only_row_major(self, c):
+        rows, cols = triu_index(c)
+        assert triu_index(c)[0] is rows
+        expected = np.triu_indices(c, k=1)
+        assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
+        with pytest.raises(ValueError):
+            rows[...] = 0
+
+    def test_from_upper_exact_complements(self):
+        upper = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, 5e-324]])
+        m = from_upper(upper, 3)
+        assert m.shape == (2, 3, 3)
+        assert np.array_equal(m[1], [[0.0, 1.0, 0.0], [0.0, 0.0, 5e-324], [1.0, 1.0, 0.0]])
+        assert np.all(m + np.swapaxes(m, 1, 2) == 1.0 - np.eye(3))
 
 
 class TestThetaMatrix:

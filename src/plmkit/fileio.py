@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 
 import numpy as np
 
@@ -89,9 +90,20 @@ def _id_field(sid: str) -> str:
 # -- bulk parsing: sample_id, then numbers -------------------------------------
 
 def _load(texts: list[str], dtype: np.dtype) -> np.ndarray:
+    """Raises ValueError or DeprecationWarning where a line does not parse.
+
+    Older numpy releases read a non-integer in an integer field, such as
+    ``2.7`` or ``nan``, as a float cast to int and say so only with a
+    DeprecationWarning; here that warning is an error, so such a line is
+    rejected on every numpy.
+    """
     if not texts:
         return np.zeros(0, dtype)
-    return np.loadtxt(texts, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(
+            texts, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
+        )
 
 
 def _records(lines: list[str], dtype: np.dtype) -> np.ndarray:
@@ -117,14 +129,14 @@ def _records(lines: list[str], dtype: np.dtype) -> np.ndarray:
                 quoted[k] = fields[0]
     try:
         records = _load(texts, dtype)
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         good, bad = 0, len(texts)  # texts[:good] parse, texts[:bad] do not
         while bad - good > 1:
             mid = (good + bad) // 2
             try:
                 _load(texts[:mid], dtype)
                 good = mid
-            except ValueError:
+            except (ValueError, DeprecationWarning):
                 bad = mid
         records = _load(texts[:good], dtype)
     for k, sid in quoted.items():

@@ -1,10 +1,12 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plmkit import fileio
 from plmkit.fileio import (
     FormatError,
     read_pairwise,
@@ -138,6 +140,12 @@ MALFORMED = [
      "{path}:11: expected 4 fields, got 5"),
     ("non-integer i", read_pairwise_stack, PRE + HEAD + OK + "# x\na,x,1,0.5\n",
      "{path}:11: invalid literal for int() with base 10: 'x'"),
+    ("fractional j", read_pairwise_stack, PRE + HEAD + OK + "\na,0,2.7,0.5\n",
+     "{path}:11: invalid literal for int() with base 10: '2.7'"),
+    ("float-spelled i", read_pairwise_stack, PRE + HEAD + OK + "\na,0.0,1,0.5\n",
+     "{path}:11: invalid literal for int() with base 10: '0.0'"),
+    ("nan j", read_pairwise_stack, PRE + HEAD + OK + "\na,0,nan,0.5\n",
+     "{path}:11: invalid literal for int() with base 10: 'nan'"),
     ("i >= j", read_pairwise_stack, PRE + HEAD + OK + "\na,1,1,0.5\n",
      "{path}:11: need 0 <= i < j, got (1,1)"),
     ("r above 1", read_pairwise_stack, PRE + HEAD + OK + "\na,0,1,1.5\n",
@@ -175,3 +183,24 @@ def test_malformed_input(tmp_path, reader, text, message):
     with pytest.raises(FormatError) as exc:
         reader(path)
     assert str(exc.value) == message.format(path=path)
+
+
+def test_integer_float_fallback_is_rejected(tmp_path, monkeypatch):
+    """Older numpy reads ``2.7`` in an integer field as 2 with only a
+    DeprecationWarning; the reader still rejects the line as ``int()`` does."""
+    loadtxt = np.loadtxt
+
+    def lenient(texts, **kwargs):
+        if any(",2.7," in text for text in texts):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            texts = [text.replace(",2.7,", ",2,") for text in texts]
+        return loadtxt(texts, **kwargs)
+
+    monkeypatch.setattr(fileio.np, "loadtxt", lenient)
+    path = tmp_path / "in.csv"
+    path.write_text(PRE + HEAD + OK + "\na,0,2.7,0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # Python's default outside __main__
+        with pytest.raises(FormatError, match=re.escape(":11: invalid literal for int() with base 10: '2.7'")):
+            read_pairwise_stack(path)

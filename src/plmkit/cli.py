@@ -21,7 +21,7 @@ from .core import (
 )
 from .coupling import couple_stack, theta_map_stack
 from .datagen import BlobSpec, bayes_posterior_blobs, generate_blobs
-from .ensemble import CorrectionPatch, correct_stack, recombine_stack, summarize
+from .ensemble import CorrectionPatch, correct_stack, recombine_stack, summarize_stack
 from .fileio import (
     FORMAT_VERSION,
     FormatError,
@@ -38,7 +38,7 @@ from .fileio import (
     write_posterior_stack,
     write_posteriors,
     write_report,
-    write_summaries,
+    write_summary_stack,
 )
 from .metrics import accuracy, confusion_matrix, worst_confused_pair
 
@@ -124,7 +124,13 @@ def cmd_correct(args) -> int:
     return 0
 
 
+# matrices recombined and coupled at once: bounds bootstrap's memory for any input size
+_BOOTSTRAP_BLOCK = 1000
+
+
 def cmd_bootstrap(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     files = [read_pairwise_stack(path) for path in args.inputs]
     ids, first = files[0]
     aligned = []
@@ -140,12 +146,22 @@ def cmd_bootstrap(args) -> int:
         aligned.append(stack[[row[sid] for sid in ids]])
     sources = np.stack(aligned, axis=1)  # (N, files, c, c)
     config = CouplingConfig(method=_METHODS[args.method])
-    summaries = []
-    for s_index, sid in enumerate(ids):
-        # per-sample seed offset keeps samples independent of processing order
-        stack = recombine_stack(sources[s_index], args.n, args.seed + s_index)
-        summaries.append((sid, summarize(couple_stack(stack, config))))
-    write_summaries(args.output, summaries)
+    c = sources.shape[-1]
+    # per sample: mean, sd, min, nine deciles and max of each class; rows excluded
+    stats, excluded = np.zeros((len(ids), 13, c)), np.zeros(len(ids), dtype=np.int64)
+    per_block = max(1, _BOOTSTRAP_BLOCK // args.n)
+    for start in range(0, len(ids), per_block):
+        part = slice(start, start + per_block)
+        block = sources[part]
+        # sample s draws from the streams of seed + s, so its summary does
+        # not depend on the block it is processed in
+        seeds = range(args.seed + start, args.seed + start + len(block))
+        coupled = couple_stack(recombine_stack(block, args.n, seeds).reshape(-1, c, c), config)
+        failed = np.array([e is not None for e in coupled.errors]).reshape(len(block), args.n)
+        stats[part], excluded[part] = summarize_stack(
+            coupled.probs.reshape(len(block), args.n, c), failed
+        )
+    write_summary_stack(args.output, ids, stats, excluded)
     return 0
 
 
@@ -246,8 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("bootstrap", help="recombine pairwise files into an ensemble summary")
     s.add_argument("inputs", nargs="+", help="two or more pairwise files")
     s.add_argument("output")
-    s.add_argument("--n", type=int, default=100)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--n", type=int, default=100, help="recombinations per sample (at least 1)")
+    s.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="sample s draws from the streams of seed + s, so runs whose seeds "
+        "differ by d share the streams of all but d samples",
+    )
     s.add_argument("--method", choices=sorted(_METHODS), default="wlw")
     s.set_defaults(func=cmd_bootstrap)
 

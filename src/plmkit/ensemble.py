@@ -82,24 +82,133 @@ def _pair_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
-def recombine_stack(sources: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Build an (n, c, c) stack from an (S, c, c) stack of source matrices,
-    each pair's entries drawn from a uniformly random source.
+# The streams of _pair_rng as array arithmetic, after numpy's published
+# algorithms: SeedSequence hashing (numpy/random/bit_generator.pyx), the
+# PCG64 128-bit LCG with XSL-RR output (O'Neill, HMC-CS-2014-0905), and
+# Lemire's bounded draw on the 32-bit halves of each output, low half first.
+_M32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = np.uint32(0xCA01_F9DD), np.uint32(0x4973_F715)
+_PCG_MULT = np.uint64(0x2360_ED05_1FC6_5DA4), np.uint64(0x4385_DF64_9FCC_F645)
+_LO, _32 = np.uint64(_M32), np.uint64(32)
+
+
+def _hash_consts(init: int, mult: int):
+    """The (xor, multiplier) pair of each successive SeedSequence hash."""
+    h = init
+    while True:
+        nxt = h * mult & _M32
+        yield np.uint32(h), np.uint32(nxt)
+        h = nxt
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _add128(ah, al, bh, bl) -> tuple[np.ndarray, np.ndarray]:
+    lo = al + bl
+    return ah + bh + (lo < al), lo
+
+
+def _mul128(ah, al, bh, bl) -> tuple[np.ndarray, np.ndarray]:
+    """(a * b) mod 2**128 on (hi, lo) uint64 limbs, broadcasting."""
+    a0, a1, b0, b1 = al & _LO, al >> _32, bl & _LO, bl >> _32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _32) + (p01 & _LO) + (p10 & _LO)
+    hi = a1 * b1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32) + ah * bl + al * bh
+    return hi, (p00 & _LO) | (mid << _32)
+
+
+def _pcg_seeds(seeds: list[int], n: int) -> tuple[np.ndarray, ...]:
+    """(u, inc) of every stream (seeds[b], k), k < n, as (B, n) uint64 limbs
+    u_hi, u_lo, inc_hi, inc_lo, where u = inc + initstate is the state
+    PCG64's seeding steps from.
+
+    The entropy of SeedSequence(seed, spawn_key=(k,)) is the seed's 32-bit
+    words zero-padded to the pool size of 4, then k: the pool of a seed is
+    mixed once, and only the final round that mixes in k is per stream.
+    """
+    words = np.array([[(s >> 32 * i) & _M32 for s in seeds] for i in range(4)], dtype=np.uint32)
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, consts) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    k = np.arange(n, dtype=np.uint32)
+    pool = [_mix(p[:, None], _hashmix(k, consts)) for p in pool]
+    # generate_state(4, uint64): eight hashed pool words, paired little-endian
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    half = [_hashmix(pool[i % 4], consts).astype(np.uint64) for i in range(8)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (half[2 * i] | (half[2 * i + 1] << _32) for i in range(4))
+    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+    return (*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
+
+
+def _stream_choices(seeds: list, n: int, sources: int, size: int) -> np.ndarray:
+    """(B, n, size) source choices whose row [b, k] equals
+    ``_pair_rng(seeds[b], k).integers(0, sources, size=size)`` bit for bit.
+
+    The streams are computed together.  Every stream of a seed that is not
+    an integer in [0, 2**128), every stream when ``sources`` exceeds 2**32,
+    and any stream with a Lemire rejection (chance below sources / 2**32 per
+    draw) is drawn by ``_pair_rng`` instead.
+    """
+    choice = np.zeros((len(seeds), n, size), dtype=np.int64)
+    covered = np.array(
+        [isinstance(s, (int, np.integer)) and 0 <= s < 1 << 128 for s in seeds], dtype=bool
+    )
+    if sources > 1 << 32:  # numpy draws 64-bit words for such a range
+        covered[:] = False
+    fast = np.flatnonzero(covered)
+    redo = [(b, k) for b in np.flatnonzero(~covered) for k in range(n)]
+    if fast.size:
+        hi, lo, inc_hi, inc_lo = (a.ravel() for a in _pcg_seeds([int(seeds[b]) for b in fast], n))
+        draws = np.empty((hi.size, (size + 1) // 2, 2), dtype=np.uint64)
+        # pcg64 steps once when seeded and once before each output
+        hi, lo = _add128(*_mul128(hi, lo, *_PCG_MULT), inc_hi, inc_lo)
+        for t in range(draws.shape[1]):
+            hi, lo = _add128(*_mul128(hi, lo, *_PCG_MULT), inc_hi, inc_lo)
+            x, rot = hi ^ lo, hi >> np.uint64(58)  # XSL-RR
+            x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+            draws[:, t, 0], draws[:, t, 1] = x & _LO, x >> _32
+        m = draws.reshape(hi.size, 2 * draws.shape[1])[:, :size] * np.uint64(sources)
+        choice[fast] = (m >> _32).view(np.int64).reshape(fast.size, n, size)
+        rejected = np.any((m & _LO) < ((1 << 32) - sources) % sources, axis=1)
+        redo += [(fast[r // n], r % n) for r in np.flatnonzero(rejected).tolist()]
+    for b, k in redo:
+        choice[b, k] = _pair_rng(seeds[b], k).integers(0, sources, size=size)
+    return choice
+
+
+def recombine_stack(sources: np.ndarray, n: int, seeds) -> np.ndarray:
+    """Build a (B, n, c, c) stack from a (B, S, c, c) block of source matrices:
+    in output [b, k], each pair's entries come from a uniformly random source
+    of sample b, drawn from the stream (seeds[b], k).
 
     Pairs move atomically with their complements, so every output satisfies
     the pairwise invariants whenever the sources do.  Deterministic given
-    ``seed``; output ``k`` depends only on (seed, k).
+    the seeds; output [b, k] depends only on (seeds[b], k) and sample b.
     """
-    if len(sources) < 2:
+    if sources.shape[1] < 2:
         raise ValueError("need at least two source matrices")
     c = sources.shape[-1]
     rows, cols = triu_index(c)
-    choice = np.zeros((n, rows.size), dtype=np.int64)
-    for k in range(n):
-        choice[k] = _pair_rng(seed, k).integers(0, len(sources), size=rows.size)
-    out = np.zeros((n, c, c))
-    out[:, rows, cols] = sources[choice, rows, cols]
-    out[:, cols, rows] = sources[choice, cols, rows]
+    choice = _stream_choices(list(seeds), n, sources.shape[1], rows.size)
+    sample = np.arange(len(sources))[:, None, None]
+    out = np.zeros((len(sources), n, c, c))
+    out[:, :, rows, cols] = sources[sample, choice, rows, cols]
+    out[:, :, cols, rows] = sources[sample, choice, cols, rows]
     return out
 
 
@@ -114,29 +223,54 @@ def bootstrap_recombine(
         if s.c != sources[0].c:
             raise ShapeError(f"source class counts differ: {s.c} vs {sources[0].c}")
     stack = np.array([s.entries for s in sources])
-    return [PairwiseLikelihoodMatrix(m) for m in recombine_stack(stack, n, seed)]
+    return [PairwiseLikelihoodMatrix(m) for m in recombine_stack(stack[None], n, [seed])[0]]
+
+
+_DECILES = np.linspace(0.1, 0.9, 9)
+
+
+def summarize_stack(probs: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class statistics of each sample of a (B, n, c) block of coupled rows.
+
+    ``failed`` is the (B, n) mask of the rows that failed to couple; they are
+    excluded and counted rather than aborting the summary.  Returns a
+    (B, 13, c) array of the mean, sd, minimum, deciles d10 .. d90 and maximum
+    over each sample's remaining rows, and the (B,) count of failed rows.
+    Samples with the same number of remaining rows are summarized together.
+    """
+    if probs.shape[1] == 0:
+        raise ValueError("need at least one matrix")
+    kept = probs.shape[1] - failed.sum(axis=1)
+    if np.any(kept == 0):
+        raise PlmError("every matrix failed to couple")
+    stats = np.zeros((len(probs), 13, probs.shape[2]))
+    for m in np.unique(kept):
+        group = np.flatnonzero(kept == m)
+        arr = probs[group][~failed[group]].reshape(group.size, m, -1)
+        stats[group, 0] = arr.mean(axis=1)
+        stats[group, 1] = arr.std(axis=1, ddof=0)
+        stats[group, 2] = arr.min(axis=1)
+        stats[group, 3:12] = np.quantile(arr, _DECILES, axis=1).swapaxes(0, 1)
+        stats[group, 12] = arr.max(axis=1)
+    return stats, probs.shape[1] - kept
 
 
 def summarize(coupled: CoupledStack) -> EnsembleSummary:
-    """Aggregate per-class statistics over the rows of a coupled stack.
-
-    Rows that failed to couple are excluded and counted rather than aborting
-    the whole summary.
-    """
+    """Aggregate per-class statistics over the rows of a coupled stack
+    (the N=1 case of :func:`summarize_stack`)."""
     if not coupled.errors:
         raise ValueError("need at least one matrix")
-    ok = np.array([e is None for e in coupled.errors])
-    if not ok.any():
-        raise PlmError("every matrix failed to couple")
-    arr = coupled.probs[ok]
+    failed = np.array([e is not None for e in coupled.errors])
+    stats, excluded = summarize_stack(coupled.probs[None], failed[None])
+    mean, sd, minimum, *deciles, maximum = stats[0]
     return EnsembleSummary(
-        mean=arr.mean(axis=0),
-        sd=arr.std(axis=0, ddof=0),
-        minimum=arr.min(axis=0),
-        maximum=arr.max(axis=0),
-        deciles=np.quantile(arr, np.linspace(0.1, 0.9, 9), axis=0),
-        n_samples=int(ok.sum()),
-        n_excluded=int((~ok).sum()),
+        mean=mean,
+        sd=sd,
+        minimum=minimum,
+        maximum=maximum,
+        deciles=np.array(deciles),
+        n_samples=len(failed) - int(excluded[0]),
+        n_excluded=int(excluded[0]),
     )
 
 

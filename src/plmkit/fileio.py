@@ -77,8 +77,10 @@ def _id_field(sid: str) -> str:
     """A sample_id as written in the first field of a row.
 
     Quoted as the csv module quotes it, and also when it would make its line
-    read as a comment.
+    read as a comment.  A line break cannot be read back, so it is rejected.
     """
+    if "\n" in sid or "\r" in sid:
+        raise ValueError(f"sample_id {sid!r} contains a line break")
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([sid, ""])
     field = buf.getvalue()[:-2]
@@ -171,12 +173,13 @@ def _first(mask: np.ndarray, default: int) -> int:
 def write_posterior_stack(path, ids: list[str], probs: np.ndarray, failures=()) -> None:
     """One row per posterior of an (N, c) stack, then one ``# failed:`` comment
     per sample that failed."""
+    fields = [_id_field(sid) for sid in ids]
     fh, w = _writer(path)
     with fh:
         c = probs.shape[1]
         w.writerow(["sample_id"] + [f"p_{k}" for k in range(c)])
         row = "{}" + ",{:.17g}" * c + "\n"
-        fh.writelines(row.format(_id_field(sid), *p) for sid, p in zip(ids, probs.tolist()))
+        fh.writelines(row.format(field, *p) for field, p in zip(fields, probs.tolist()))
         for sid, msg in failures:
             fh.write(f"# failed: {sid}: {msg}\n")
 
@@ -237,12 +240,11 @@ def write_pairwise_stack(path, ids: list[str], stack: np.ndarray) -> None:
     rows, cols = triu_index(stack.shape[-1])
     pairs = [f",{i},{j}," for i, j in zip(rows.tolist(), cols.tolist())]
     cells = iter(stack[:, rows, cols].ravel().tolist())
+    fields = [_id_field(sid) for sid in ids]
     fh, w = _writer(path)
     with fh:
         w.writerow(["sample_id", "i", "j", "r_ij"])
-        fh.writelines(
-            f"{field}{pair}{next(cells):.17g}\n" for field in map(_id_field, ids) for pair in pairs
-        )
+        fh.writelines(f"{field}{pair}{next(cells):.17g}\n" for field in fields for pair in pairs)
 
 
 def write_pairwise(path, matrices: list[tuple[str, PairwiseLikelihoodMatrix]]) -> None:
@@ -323,11 +325,11 @@ def read_pairwise(path) -> list[tuple[str, PairwiseLikelihoodMatrix]]:
 # -- label files: sample_id,label --------------------------------------------
 
 def write_labels(path, batch: LabeledBatch) -> None:
+    fields = [_id_field(sid) for sid, _ in batch.samples]
     fh, w = _writer(path)
     with fh:
         w.writerow(["sample_id", "label"])
-        for sid, label in batch.samples:
-            w.writerow([sid, label])
+        fh.writelines(f"{field},{label}\n" for field, (_, label) in zip(fields, batch.samples))
 
 
 def read_labels(path, c: int | None = None) -> LabeledBatch:
@@ -376,11 +378,12 @@ def read_patch(path) -> list[tuple[int, int, float]]:
 # -- distance files: sample_id,method,distance -------------------------------
 
 def write_distances(path, scores: list) -> None:
+    fields = [_id_field(s.sample_id) for s in scores]
     fh, w = _writer(path)
     with fh:
         w.writerow(["sample_id", "method", "distance"])
-        for s in scores:
-            w.writerow([s.sample_id, s.method.value, _fmt(s.distance)])
+        for field, s in zip(fields, scores):
+            fh.write(f"{field},{s.method.value},{_fmt(s.distance)}\n")
 
 
 def read_distances(path) -> list[tuple[str, str, float]]:
@@ -413,19 +416,30 @@ SUMMARY_HEADER = (
 )
 
 
-def write_summaries(path, summaries: list) -> None:
-    """Rows per sample per class, plus one excluded-count footer row per sample."""
+def write_summary_stack(path, ids: list[str], stats: np.ndarray, excluded: np.ndarray) -> None:
+    """Rows per sample per class, plus one excluded-count footer row per sample.
+
+    ``stats`` is (N, 13, c): per sample, the statistics of the header's
+    columns from ``mean`` to ``max`` for each class; ``excluded`` is (N,).
+    """
+    fields = [_id_field(sid) for sid in ids]
+    row = "{},{}" + ",{:.17g}" * (len(SUMMARY_HEADER) - 2) + "\n"
+    footer = "{},excluded,{}" + "," * (len(SUMMARY_HEADER) - 3) + "\n"
+    values = np.swapaxes(stats, 1, 2).tolist()
     fh, w = _writer(path)
     with fh:
         w.writerow(SUMMARY_HEADER)
-        for sid, s in summaries:
-            for k in range(s.mean.size):
-                w.writerow(
-                    [sid, k, _fmt(s.mean[k]), _fmt(s.sd[k]), _fmt(s.minimum[k])]
-                    + [_fmt(s.deciles[d, k]) for d in range(9)]
-                    + [_fmt(s.maximum[k])]
-                )
-            w.writerow([sid, "excluded", s.n_excluded] + [""] * (len(SUMMARY_HEADER) - 3))
+        for field, sample, n_excluded in zip(fields, values, excluded.tolist()):
+            fh.writelines(row.format(field, k, *v) for k, v in enumerate(sample))
+            fh.write(footer.format(field, n_excluded))
+
+
+def write_summaries(path, summaries: list) -> None:
+    """Rows per sample per class, plus one excluded-count footer row per sample."""
+    stats = [np.vstack([s.mean, s.sd, s.minimum, s.deciles, s.maximum]) for _, s in summaries]
+    excluded = np.array([s.n_excluded for _, s in summaries], dtype=np.int64)
+    stats = np.array(stats) if stats else np.zeros((0, len(SUMMARY_HEADER) - 2, 0))
+    write_summary_stack(path, [sid for sid, _ in summaries], stats, excluded)
 
 
 # -- correction reports: patch,method,pairwise_accuracy,multiclass_accuracy --
@@ -450,11 +464,12 @@ def write_report(path, rows: list, fits: list) -> None:
 # -- feature files: sample_id,x_0,...,x_{dim-1} ------------------------------
 
 def write_features(path, sample_ids: list[str], features: np.ndarray) -> None:
+    fields = [_id_field(sid) for sid in sample_ids]
     fh, w = _writer(path)
     with fh:
         w.writerow(["sample_id"] + [f"x_{d}" for d in range(features.shape[1])])
-        for sid, x in zip(sample_ids, features):
-            w.writerow([sid] + [_fmt(v) for v in x])
+        row = "{}" + ",{:.17g}" * features.shape[1] + "\n"
+        fh.writelines(row.format(field, *x) for field, x in zip(fields, features.tolist()))
 
 
 # -- confusion matrix files --------------------------------------------------

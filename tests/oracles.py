@@ -6,6 +6,8 @@ projected gradient loop, and the log-odds projection is solved as a generic
 least-squares problem.
 """
 
+import csv
+
 import numpy as np
 
 
@@ -150,3 +152,32 @@ def random_offmanifold(rng: np.random.Generator, c: int) -> np.ndarray:
             m[i, j] = r
             m[j, i] = 1.0 - r
     return m
+
+
+def summary_ref(probs: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """(13, c) per-class mean, sd, min, deciles d10..d90 and max of the ok rows
+    of an (n, c) block, one sample at a time with numpy's reductions."""
+    arr = probs[ok]
+    return np.vstack(
+        [
+            arr.mean(axis=0),
+            arr.std(axis=0, ddof=0),
+            arr.min(axis=0),
+            np.quantile(arr, np.linspace(0.1, 0.9, 9), axis=0),
+            arr.max(axis=0),
+        ]
+    )
+
+
+def summary_rows(path, rows) -> None:
+    """A summary file written row by row through csv.writer, from
+    (sample_id, (13, c) statistics, excluded count) per sample."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write("# plm-v1\n")
+        w = csv.writer(fh, lineterminator="\n")
+        header = ["sample_id", "class", "mean", "sd", "min"]
+        w.writerow(header + [f"d{k}" for k in range(10, 100, 10)] + ["max"])
+        for sid, stats, excluded in rows:
+            for k in range(stats.shape[1]):
+                w.writerow([sid, k] + [f"{float(x):.17g}" for x in stats[:, k]])
+            w.writerow([sid, "excluded", excluded] + [""] * 12)

@@ -13,7 +13,11 @@ from plmkit.fileio import (
     write_pairwise,
     write_posteriors,
 )
-from plmkit import PairwiseLikelihoodMatrix, theta_map
+from plmkit import CouplingConfig, Method, PairwiseLikelihoodMatrix, theta_map
+from plmkit.coupling import couple_stack
+from plmkit.ensemble import _pair_rng, summarize
+from plmkit.fileio import read_pairwise_stack, write_pairwise_stack
+from oracles import random_offmanifold, summary_rows
 
 
 @pytest.fixture
@@ -254,6 +258,63 @@ class TestBootstrap:
         assert main(["bootstrap", str(a), str(b), str(tmp_path / "o.csv")]) == 1
         assert f"error: {b}: class count c=3 differs from c=4 of {a}" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_rejected(self, tmp_path, capsys, n):
+        a, b = self._write_sources(tmp_path)
+        out = tmp_path / "o.csv"
+        assert main(["bootstrap", str(a), str(b), str(out), "--n", n]) == 1
+        assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
+        assert not out.exists()
+
+    def test_empty_input_writes_header_only(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_pairwise(a, [])
+        write_pairwise(b, [])
+        out = tmp_path / "o.csv"
+        assert main(["bootstrap", str(a), str(b), str(out), "--n", "5"]) == 0
+        assert out.read_text().splitlines()[1:] == [
+            "sample_id,class,mean,sd,min,d10,d20,d30,d40,d50,d60,d70,d80,d90,max"
+        ]
+
+    @pytest.mark.parametrize("method", ["wlw", "bc"])
+    @pytest.mark.parametrize("n", ["1", "7", "300"])
+    def test_matches_per_sample_oracle(self, tmp_path, method, n):
+        """Each sample's summary is that of its own (seed + s, k) streams,
+        coupled and summarized alone, whatever block it is processed in."""
+        rng = np.random.default_rng(31)
+        ids = ["s0", "s 1", "s,2", "s3", "s4"]
+        paths = [tmp_path / f"src{k}.csv" for k in range(3)]
+        for k, path in enumerate(paths):
+            stack = np.stack([random_offmanifold(rng, 4) for _ in ids])
+            if k == 2 and n != "1":
+                stack[:, 0, 1], stack[:, 1, 0] = 1.0, 0.0  # BC fails where this pair is drawn
+            order = slice(None, None, -1 if k == 1 else 1)  # rows in any order
+            write_pairwise_stack(path, ids[order], stack[order])
+        out = tmp_path / "o.csv"
+        seed = 2**32 - 2
+        flags = ["--n", n, "--seed", str(seed), "--method", method]
+        assert main(["bootstrap", *map(str, paths), str(out), *flags]) == 0
+
+        read = [dict(zip(*read_pairwise_stack(path))) for path in paths]
+        sources = np.array([[by_id[sid] for by_id in read] for sid in ids])
+        rows, cols = np.triu_indices(4, k=1)
+        methods = {"wlw": Method.WU_LIN_WENG, "bc": Method.BAYES_COVARIANT}
+        config = CouplingConfig(method=methods[method])
+        expected = []
+        for s, sid in enumerate(ids):
+            mats = np.zeros((int(n), 4, 4))
+            for k in range(int(n)):
+                pick = _pair_rng(seed + s, k).integers(0, 3, size=rows.size)
+                mats[k, rows, cols] = sources[s, pick, rows, cols]
+                mats[k, cols, rows] = sources[s, pick, cols, rows]
+            one = summarize(couple_stack(mats, config))
+            stats = np.vstack([one.mean, one.sd, one.minimum, one.deciles, one.maximum])
+            expected.append((sid, stats, one.n_excluded))
+        if method == "bc" and n == "300":
+            assert all(0 < excluded < 300 for _, _, excluded in expected)
+        summary_rows(tmp_path / "ref.csv", expected)
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestDistanceCalibrate:

@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmkit import (
     CorrectionPatch,
     CouplingConfig,
     Method,
     PairwiseLikelihoodMatrix,
+    PlmError,
     Posterior,
     bootstrap_recombine,
     couple,
@@ -16,7 +19,10 @@ from plmkit import (
     theta_map,
     validate_pairwise,
 )
-from oracles import random_offmanifold, random_posterior
+from plmkit import ensemble
+from plmkit.coupling import couple_stack
+from plmkit.ensemble import _pair_rng, _stream_choices, recombine_stack, summarize, summarize_stack
+from oracles import random_offmanifold, random_posterior, summary_ref
 
 
 class TestCorrectionPatch:
@@ -104,6 +110,23 @@ class TestBootstrapRecombine:
         with pytest.raises(Exception):
             bootstrap_recombine([a, b], 5, seed=0)
 
+    def test_no_recombinations(self):
+        assert bootstrap_recombine(self._sources(), 0, seed=4) == []
+
+    def test_negative_seed_rejected_by_numpy(self):
+        stack = np.stack([s.entries for s in self._sources()])[None]
+        with pytest.raises(ValueError, match="non-negative"):
+            recombine_stack(stack, 3, [-1])
+
+    def test_block_rows_match_single_sample_calls(self):
+        rng = np.random.default_rng(12)
+        block = np.stack([[random_offmanifold(rng, 4) for _ in range(3)] for _ in range(5)])
+        seeds = [0, 2**32 + 1, 7, 2**64, 2**130]
+        out = recombine_stack(block, 6, seeds)
+        for b, seed in enumerate(seeds):
+            one = bootstrap_recombine([PairwiseLikelihoodMatrix(m) for m in block[b]], 6, seed)
+            assert out[b].tobytes() == np.stack([m.entries for m in one]).tobytes()
+
     def test_source_choice_near_uniform(self):
         sources = self._sources(seed=8, c=3)
         hits = 0
@@ -165,3 +188,85 @@ class TestEnsembleSummary:
         config = CouplingConfig(method=Method.BAYES_COVARIANT)
         s = ensemble_summary([good, bad, good], config)
         assert s.n_samples == 2 and s.n_excluded == 1
+
+
+def _near(base):
+    return st.integers(min_value=max(0, base - 3), max_value=base + 3)
+
+
+class TestStreamChoices:
+    """The array kernel equals numpy's generator stream by stream."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.one_of(*[_near(b) for b in (0, 2**32, 2**64, 2**128)]), min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=2, max_value=300),
+        st.integers(min_value=1, max_value=1300),
+    )
+    def test_matches_pair_rng(self, seeds, n, sources, size):
+        got = _stream_choices(seeds, n, sources, size)
+        for b, seed in enumerate(seeds):
+            for k in range(n):
+                expected = _pair_rng(seed, k).integers(0, sources, size=size)
+                assert got[b, k].tobytes() == expected.tobytes()
+
+    def test_rejection_falls_back(self, monkeypatch):
+        # with 2**31 + 1 sources about half of all 32-bit draws are rejected
+        calls = []
+
+        def counting(seed, index):
+            calls.append((seed, index))
+            return _pair_rng(seed, index)
+
+        monkeypatch.setattr(ensemble, "_pair_rng", counting)
+        sources = 2**31 + 1
+        got = _stream_choices([0, 5], 40, sources, 3)
+        assert 0 < len(calls) < 80
+        for b, seed in enumerate([0, 5]):
+            for k in range(40):
+                expected = _pair_rng(seed, k).integers(0, sources, size=3)
+                assert got[b, k].tobytes() == expected.tobytes()
+
+
+class TestSummarizeStack:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=25),
+        st.integers(min_value=2, max_value=6),
+        st.sampled_from([0.0, 0.2, 0.6]),
+        st.sampled_from(list(Method)),
+    )
+    def test_block_equals_per_sample(self, seed, samples, n, c, bad_share, method):
+        """Samples of a block, some of whose rows fail to couple, are summarized
+        bit for bit as one sample at a time."""
+        rng = np.random.default_rng(seed)
+        stack = np.stack([random_offmanifold(rng, c) for _ in range(samples * n)])
+        # an exact 0/1 entry fails BC; an entry outside [0, 1] fails both methods
+        for k in np.flatnonzero(rng.random(samples * n) < bad_share):
+            stack[k, 0, 1] = -0.5 if method is Method.WU_LIN_WENG else 1.0
+            stack[k, 1, 0] = 1.0 - stack[k, 0, 1]
+        stack[::n, 0, 1] = stack[::n, 1, 0] = 0.5  # every sample keeps a row
+        config = CouplingConfig(method=method)
+        coupled = couple_stack(stack, config)
+        failed = np.array([e is not None for e in coupled.errors]).reshape(samples, n)
+        stats, excluded = summarize_stack(coupled.probs.reshape(samples, n, c), failed)
+        for b in range(samples):
+            one = summarize(couple_stack(stack[b * n : (b + 1) * n], config))
+            single = np.vstack([one.mean, one.sd, one.minimum, one.deciles, one.maximum])
+            ref = summary_ref(coupled.probs.reshape(samples, n, c)[b], ~failed[b])
+            assert stats[b].tobytes() == single.tobytes() == ref.tobytes()
+            assert excluded[b] == one.n_excluded == failed[b].sum()
+            assert one.n_samples == n - one.n_excluded
+
+    def test_sample_with_no_coupled_row(self):
+        probs = np.full((2, 3, 2), 0.5)
+        failed = np.array([[False, True, False], [True, True, True]])
+        with pytest.raises(PlmError, match="every matrix failed"):
+            summarize_stack(probs, failed)
+
+    def test_no_rows(self):
+        with pytest.raises(ValueError, match="at least one matrix"):
+            summarize_stack(np.zeros((2, 0, 3)), np.zeros((2, 0), dtype=bool))

@@ -6,16 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plmkit import fileio
+from plmkit import LabeledBatch, Method, PairwiseLikelihoodMatrix, Posterior, fileio
+from plmkit.abstention import SurenessScore
+from plmkit.ensemble import EnsembleSummary
 from plmkit.fileio import (
     FormatError,
+    read_distances,
+    read_labels,
     read_pairwise,
     read_pairwise_stack,
     read_posterior_stack,
     read_posteriors,
+    write_distances,
+    write_features,
+    write_labels,
+    write_pairwise,
     write_pairwise_stack,
     write_posterior_stack,
+    write_posteriors,
+    write_summaries,
+    write_summary_stack,
 )
+from oracles import summary_rows
 
 ONE_ULP_BELOW_1 = float(np.nextafter(1.0, 0.0))
 SUBNORMAL = 5e-324
@@ -83,6 +95,40 @@ class TestRoundTrip:
         objects = read_posteriors(path)
         assert [sid for sid, _ in objects] == ids
         assert np.stack([p.probs for _, p in objects]).tobytes() == probs.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), sample_ids, st.integers(min_value=1, max_value=12))
+    def test_labels(self, tmp_path_factory, data, ids, c):
+        labels = data.draw(st.lists(st.integers(0, c - 1), min_size=len(ids), max_size=len(ids)))
+        batch = LabeledBatch(samples=tuple(zip(ids, labels)), c=c)
+        path = tmp_path_factory.mktemp("rt") / "lab.csv"
+        write_labels(path, batch)
+        assert read_labels(path, c=c) == batch
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), sample_ids)
+    def test_distances(self, tmp_path_factory, data, ids):
+        values = st.one_of(
+            st.sampled_from([0.0, SUBNORMAL, 1e-310, 1.0, 1.7976931348623157e308]),
+            st.floats(min_value=0.0, allow_infinity=False),
+        )
+        distances = data.draw(st.lists(values, min_size=len(ids), max_size=len(ids)))
+        methods = data.draw(
+            st.lists(st.sampled_from(list(Method)), min_size=len(ids), max_size=len(ids))
+        )
+        scores = [SurenessScore(*row) for row in zip(ids, methods, distances)]
+        path = tmp_path_factory.mktemp("rt") / "dist.csv"
+        write_distances(path, scores)
+        got = read_distances(path)
+        assert [row[:2] for row in got] == [(sid, m.value) for sid, m in zip(ids, methods)]
+        assert np.array([d for _, _, d in got]).tobytes() == np.array(distances).tobytes()
+
+    def test_hash_led_ids(self, tmp_path):
+        write_labels(tmp_path / "lab.csv", LabeledBatch(samples=(("#a", 0), ("b", 1)), c=2))
+        assert read_labels(tmp_path / "lab.csv").samples == (("#a", 0), ("b", 1))
+        scores = [SurenessScore(sid, Method.BAYES_COVARIANT, 0.5) for sid in ("#a", "b")]
+        write_distances(tmp_path / "dist.csv", scores)
+        assert [sid for sid, _, _ in read_distances(tmp_path / "dist.csv")] == ["#a", "b"]
 
     def test_exact_edges(self, tmp_path):
         probs = np.array([[1.0, 0.0, 0.0], [ONE_ULP_BELOW_1, 1.0 - ONE_ULP_BELOW_1, 0.0]])
@@ -204,3 +250,63 @@ def test_integer_float_fallback_is_rejected(tmp_path, monkeypatch):
         warnings.simplefilter("ignore", DeprecationWarning)  # Python's default outside __main__
         with pytest.raises(FormatError, match=re.escape(":11: invalid literal for int() with base 10: '2.7'")):
             read_pairwise_stack(path)
+
+
+def _summary(c, excluded):
+    rng = np.random.default_rng(c)
+    stats = np.sort(rng.random((13, c)), axis=0)
+    return EnsembleSummary(
+        mean=stats[0], sd=stats[1], minimum=stats[2], maximum=stats[12], deciles=stats[3:12],
+        n_samples=5, n_excluded=excluded,
+    )
+
+
+class TestSummaries:
+    def test_bulk_writer_matches_row_by_row_format(self, tmp_path):
+        summaries = [("s0", _summary(3, 0)), ('s,"1"', _summary(3, 2)), ("s 2", _summary(3, 0))]
+        write_summaries(tmp_path / "bulk.csv", summaries)
+        rows = [
+            (sid, np.vstack([s.mean, s.sd, s.minimum, s.deciles, s.maximum]), s.n_excluded)
+            for sid, s in summaries
+        ]
+        summary_rows(tmp_path / "ref.csv", rows)
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_empty(self, tmp_path):
+        write_summaries(tmp_path / "bulk.csv", [])
+        summary_rows(tmp_path / "ref.csv", [])
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_hash_led_id_is_quoted(self, tmp_path):
+        write_summary_stack(tmp_path / "s.csv", ["#a"], np.full((1, 13, 2), 0.5), np.array([1]))
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[2:]] == ['"#a"'] * 3
+
+
+_P = Posterior([0.25, 0.75])
+_M = PairwiseLikelihoodMatrix([[0.0, 0.25], [0.75, 0.0]])
+WRITERS = {
+    "posterior_stack": lambda path, sid: write_posterior_stack(path, [sid], _P.probs[None]),
+    "posteriors": lambda path, sid: write_posteriors(path, [(sid, _P)]),
+    "pairwise_stack": lambda path, sid: write_pairwise_stack(path, [sid], _M.entries[None]),
+    "pairwise": lambda path, sid: write_pairwise(path, [(sid, _M)]),
+    "labels": lambda path, sid: write_labels(path, LabeledBatch(samples=((sid, 0),), c=2)),
+    "distances": lambda path, sid: write_distances(
+        path, [SurenessScore(sid, Method.BAYES_COVARIANT, 0.5)]
+    ),
+    "summary_stack": lambda path, sid: write_summary_stack(
+        path, [sid], np.full((1, 13, 2), 0.5), np.array([0])
+    ),
+    "summaries": lambda path, sid: write_summaries(path, [(sid, _summary(2, 0))]),
+    "features": lambda path, sid: write_features(path, [sid], np.zeros((1, 2))),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize("sid", ["a\nb", "a\rb", "\r\n"])
+def test_line_break_in_sample_id_rejected(tmp_path, writer, sid):
+    """A sample_id with a line break cannot be read back, so no file is written."""
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=re.escape(f"sample_id {sid!r} contains a line break")):
+        WRITERS[writer](path, sid)
+    assert not path.exists()

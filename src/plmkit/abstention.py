@@ -9,6 +9,7 @@ quadratic minimizer, and the projection residual norm for the log-odds method.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,14 @@ class Abstain:
     distance: float
 
 
+@functools.lru_cache(maxsize=32)
+def _measured(method: Method, tau: float) -> CouplingConfig:
+    """The configuration a method's distance is measured with, built once."""
+    if method is Method.WU_LIN_WENG:
+        return CouplingConfig(method=Method.WU_LIN_WENG)
+    return CouplingConfig(method=Method.BAYES_COVARIANT, stabilization=Stabilization.CLIP, tau=tau)
+
+
 def sureness_stack(stack: np.ndarray, config: CouplingConfig) -> CoupledStack:
     """Couple an (N, c, c) stack the way ``config.method``'s distance is measured.
 
@@ -44,13 +53,7 @@ def sureness_stack(stack: np.ndarray, config: CouplingConfig) -> CoupledStack:
     residual after clipping into [tau, 1 - tau], mirroring how the log-odds
     coupling is run in practice.
     """
-    if config.method is Method.WU_LIN_WENG:
-        measured = CouplingConfig(method=Method.WU_LIN_WENG)
-    else:
-        measured = CouplingConfig(
-            method=Method.BAYES_COVARIANT, stabilization=Stabilization.CLIP, tau=config.tau
-        )
-    return couple_stack(stack, measured)
+    return couple_stack(stack, _measured(config.method, config.tau))
 
 
 def _distance(matrix: PairwiseLikelihoodMatrix, config: CouplingConfig) -> CoupledStack:

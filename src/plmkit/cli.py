@@ -131,7 +131,8 @@ _BOOTSTRAP_BLOCK = 1000
 def cmd_bootstrap(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    files = [read_pairwise_stack(path) for path in args.inputs]
+    parsed = {path: read_pairwise_stack(path) for path in dict.fromkeys(args.inputs)}
+    files = [parsed[path] for path in args.inputs]
     ids, first = files[0]
     aligned = []
     for path, (file_ids, stack) in zip(args.inputs, files):

@@ -204,21 +204,33 @@ def posterior_violations(probs: np.ndarray) -> dict[int, str]:
     """Check the simplex invariants on every row of an (N, c) stack of posteriors.
 
     Returns the first violated invariant of each invalid row, keyed by its
-    row; valid rows are absent, so messages are formatted only for rows that
-    fail.
+    row; valid rows are absent.  One fused test over the whole stack finds
+    whether any row fails; only then are the rows checked one by one.
     """
+    sums = probs.sum(axis=1)
+    # NaN fails every comparison, so a non-finite entry fails the fused test
+    if (
+        probs.min(initial=0.0) >= 0.0
+        and probs.max(initial=1.0) <= 1.0
+        and np.abs(sums - 1.0).max(initial=0.0) <= SUM_TOL
+    ):
+        return {}
     finite = np.isfinite(probs).all(axis=1)
     in_range = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
-    sums = probs.sum(axis=1)
     out = {}
-    for row in np.nonzero(~(finite & in_range & (np.abs(sums - 1.0) <= SUM_TOL)))[0]:
+    for row in np.flatnonzero(~(finite & in_range & (np.abs(sums - 1.0) <= SUM_TOL))).tolist():
         if not finite[row]:
-            out[int(row)] = "posterior contains non-finite entries"
+            out[row] = "posterior contains non-finite entries"
         elif not in_range[row]:
-            out[int(row)] = "posterior entries must lie in [0, 1]"
+            out[row] = "posterior entries must lie in [0, 1]"
         else:
-            out[int(row)] = f"posterior sums to {sums[row]:.12g}, outside tolerance {SUM_TOL}"
+            out[row] = f"posterior sums to {sums[row]:.12g}, outside tolerance {SUM_TOL}"
     return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,12 +238,28 @@ def triu_index(c: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the strict upper triangle of a c x c matrix.
 
     Pairs come in row-major order, the row order of the pairwise file format.
-    The arrays are cached per ``c`` and read-only.
+    The arrays are cached per ``c`` and read-only, as are those of
+    :func:`diag_index`, :func:`off_diagonal` and :func:`strict_upper`.
     """
-    rows, cols = np.triu_indices(c, k=1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+    return tuple(_read_only(a) for a in np.triu_indices(c, k=1))
+
+
+@functools.lru_cache(maxsize=None)
+def diag_index(c: int) -> np.ndarray:
+    """Indices 0 .. c-1: ``m[..., d, d]`` is the diagonal of a c x c matrix."""
+    return _read_only(np.arange(c))
+
+
+@functools.lru_cache(maxsize=None)
+def off_diagonal(c: int) -> np.ndarray:
+    """(c, c) mask of the off-diagonal entries."""
+    return _read_only(~np.eye(c, dtype=bool))
+
+
+@functools.lru_cache(maxsize=None)
+def strict_upper(c: int) -> np.ndarray:
+    """(c, c) mask of the strict upper triangle."""
+    return _read_only(np.triu(off_diagonal(c)))
 
 
 def from_upper(upper: np.ndarray, c: int) -> np.ndarray:
@@ -252,22 +280,32 @@ def pairwise_violations(stack: np.ndarray) -> dict[int, list[str]]:
     """Check the pairwise-matrix invariants on every matrix of an (N, c, c) stack.
 
     Returns the violation messages of each invalid matrix, keyed by its row;
-    valid rows are absent, so messages are formatted only for rows that fail.
-    The input is never mutated.
+    valid rows are absent.  One fused test over the whole stack finds whether
+    any row fails; only then are the per-entry masks built, and messages are
+    formatted for the failing rows.  The input is never mutated.
     """
     c = stack.shape[-1]
-    diag_bad = np.diagonal(stack, axis1=1, axis2=2) != 0.0
-    off = ~np.eye(c, dtype=bool)
-    range_bad = off & ((stack < 0.0) | (stack > 1.0))
+    d = diag_index(c)
     s = stack + np.swapaxes(stack, 1, 2)
-    sum_bad = np.triu(np.abs(s - 1.0) > SYM_TOL, k=1)
+    s[:, d, d] = 1.0
+    # a nonzero diagonal fails by itself, so the range test may span it
+    if not (
+        stack[:, d, d].any()
+        or stack.min(initial=0.0) < 0.0
+        or stack.max(initial=1.0) > 1.0
+        or np.abs(s - 1.0).max(initial=0.0) > SYM_TOL
+    ):
+        return {}
+    diag_bad = stack[:, d, d] != 0.0
+    range_bad = off_diagonal(c) & ((stack < 0.0) | (stack > 1.0))
+    sum_bad = strict_upper(c) & (np.abs(s - 1.0) > SYM_TOL)
     bad = diag_bad.any(axis=1) | range_bad.any(axis=(1, 2)) | sum_bad.any(axis=(1, 2))
     out = {}
-    for row in np.nonzero(bad)[0]:
+    for row in np.flatnonzero(bad).tolist():
         m = stack[row]
         violations = [
             f"diagonal entry ({k},{k}) is {m[k, k]:.12g}, expected exactly 0"
-            for k in np.nonzero(diag_bad[row])[0]
+            for k in np.flatnonzero(diag_bad[row])
         ]
         violations += [
             f"entry ({i},{j}) = {m[i, j]:.12g} outside [0, 1]"
@@ -277,7 +315,7 @@ def pairwise_violations(stack: np.ndarray) -> dict[int, list[str]]:
             f"complement violation at ({i},{j}): r_ij + r_ji = {s[row, i, j]:.12g}, expected 1"
             for i, j in zip(*np.nonzero(sum_bad[row]))
         ]
-        out[int(row)] = violations
+        out[row] = violations
     return out
 
 

@@ -31,8 +31,11 @@ from .core import (
     SingularityError,
     Stabilization,
     ThetaMatrix,
+    diag_index,
+    off_diagonal,
     pairwise_violations,
     require_valid_pairwise,
+    strict_upper,
     triu_index,
 )
 
@@ -57,8 +60,8 @@ def theta_map_stack(probs: np.ndarray) -> np.ndarray:
     if np.any(probs == 0.0):
         raise SingularityError("posterior has a zero entry; pairwise map is not injective there")
     r = probs[:, :, None] / (probs[:, :, None] + probs[:, None, :])
-    c = probs.shape[1]
-    r[:, np.arange(c), np.arange(c)] = 0.0
+    d = diag_index(probs.shape[1])
+    r[:, d, d] = 0.0
     return r
 
 
@@ -88,17 +91,21 @@ def reconstruct_from_column(matrix: PairwiseLikelihoodMatrix, j: int) -> Posteri
 def _wlw_quadratic(m: np.ndarray) -> np.ndarray:
     """Matrix Q with p'Qp = sum over ordered pairs of (r_ij p_j - r_ji p_i)^2.
 
-    ``m`` is one matrix or a stack; Q is built for each.
+    ``m`` is one matrix or a stack with zero diagonals; Q is built for each.
     """
-    colsum = (m * m).sum(axis=-2)
-    return 2.0 * (colsum[..., None] * np.eye(m.shape[-1]) - m * np.swapaxes(m, -1, -2))
+    d = diag_index(m.shape[-1])
+    # 0.0 - x: an exact zero product stays +0.0, as in 2 * (0 - x)
+    q = 0.0 - 2.0 * (m * np.swapaxes(m, -1, -2))
+    q[..., d, d] += 2.0 * (m * m).sum(axis=-2)
+    return q
 
 
 def _delta2(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Sum of squared pair residuals per row of an (N, c, c) stack and (N, c) posteriors."""
     resid = m * p[:, None, :] - np.swapaxes(m, 1, 2) * p[:, :, None]
     c = p.shape[1]
-    resid[:, np.arange(c), np.arange(c)] = 0.0
+    d = diag_index(c)
+    resid[:, d, d] = 0.0
     return (resid**2).reshape(len(p), c * c).sum(axis=1)
 
 
@@ -164,7 +171,7 @@ def _wlw_stack(m: np.ndarray, errors: dict) -> tuple[np.ndarray, np.ndarray]:
 
 def _singular_rows(stack: np.ndarray) -> np.ndarray:
     """Rows with an off-diagonal entry at 0 or 1, where the log-odds map diverges."""
-    off = ~np.eye(stack.shape[-1], dtype=bool)
+    off = off_diagonal(stack.shape[-1])
     return np.any(off & ((stack <= 0.0) | (stack >= 1.0)), axis=(1, 2))
 
 
@@ -173,10 +180,9 @@ _SINGULAR = "pairwise entry at 0 or 1: log-odds map diverges (apply clip stabili
 
 def _log_odds(stack: np.ndarray) -> np.ndarray:
     """Log-odds matrices of a stack with every off-diagonal entry inside (0, 1)."""
-    c = stack.shape[-1]
-    diag = np.arange(c)
+    d = diag_index(stack.shape[-1])
     inner = stack.copy()
-    inner[:, diag, diag] = 0.5
+    inner[:, d, d] = 0.5
     th = np.log(1.0 / inner - 1.0)
     # enforce exact antisymmetry against rounding in the two complements
     return 0.5 * (th - np.swapaxes(th, 1, 2))
@@ -219,7 +225,7 @@ def _couple_method(m: np.ndarray, method: Method, errors: dict) -> tuple[np.ndar
             errors.setdefault(int(row), SingularityError(_SINGULAR))
     if errors:
         m = m.copy()
-        m[list(errors)] = 0.5 - 0.5 * np.eye(m.shape[-1])
+        m[list(errors)] = 0.5 * off_diagonal(m.shape[-1])
     if method is Method.WU_LIN_WENG:
         return _wlw_stack(m, errors)
     return _bc_stack(m)
@@ -228,36 +234,52 @@ def _couple_method(m: np.ndarray, method: Method, errors: dict) -> tuple[np.ndar
 def _clip_stack(stack: np.ndarray, tau: float) -> np.ndarray:
     """Every off-diagonal entry forced into [tau, 1 - tau], complements kept exact."""
     c = stack.shape[-1]
-    rows, cols = triu_index(c)
-    m = stack.copy()
-    orig = m[:, rows, cols]
-    upper = np.clip(orig, tau, 1.0 - tau)
-    changed = upper != orig
-    m[:, rows, cols] = upper
-    # untouched pairs keep their original complements bit-for-bit
-    m[:, cols, rows] = np.where(changed, 1.0 - upper, m[:, cols, rows])
-    m[:, np.arange(c), np.arange(c)] = 0.0
+    clipped = np.clip(stack, tau, 1.0 - tau)
+    mirror = np.swapaxes(clipped, 1, 2)
+    # the lower triangle mirrors each clipped upper entry; untouched pairs
+    # keep their original complements bit-for-bit
+    lower = np.where(mirror != np.swapaxes(stack, 1, 2), 1.0 - mirror, stack)
+    m = np.where(strict_upper(c), clipped, lower)
+    d = diag_index(c)
+    m[:, d, d] = 0.0
     return m
 
 
 def _survivors(stack: np.ndarray, rho: float) -> np.ndarray:
     """(N, c) mask of the classes that lose no pairwise contest below ``rho``."""
-    off = ~np.eye(stack.shape[-1], dtype=bool)
-    return ~np.any((stack < rho) & off, axis=2)
+    return ~np.any((stack < rho) & off_diagonal(stack.shape[-1]), axis=2)
 
 
 _ALL_DROPPED = "every class fell below rho; nothing to couple"
 
 
-def _groups(stack: np.ndarray, config: CouplingConfig):
-    """(classes kept, rows) for each set of rows that keep the same classes."""
+def _couple_dropped(
+    stack: np.ndarray, config: CouplingConfig, errors: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """Couple each set of rows that keep the same classes, in reduced form;
+    dropped classes get zero mass."""
     n, c = stack.shape[:2]
-    if config.stabilization is not Stabilization.DROP_CLASSES:
-        return [(np.ones(c, dtype=bool), np.arange(n))]
     masks, group, counts = np.unique(
         _survivors(stack, config.rho), axis=0, return_inverse=True, return_counts=True
     )
-    return zip(masks, np.split(np.argsort(group.ravel(), kind="stable"), np.cumsum(counts)[:-1]))
+    if masks.all():  # nothing dropped
+        return _couple_method(stack, config.method, errors)
+    probs, residual = np.zeros((n, c)), np.zeros(n)
+    groups = np.split(np.argsort(group.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    for keep, rows in zip(masks, groups):
+        idx = np.flatnonzero(keep)
+        if idx.size == 0:
+            errors.update((int(k), EmptyResultError(_ALL_DROPPED)) for k in rows)
+        elif idx.size == 1:
+            # a single survivor takes all the mass: the one-class distribution
+            probs[rows, idx[0]] = 1.0
+        else:
+            failed: dict[int, PlmError] = {}
+            p, r = _couple_method(stack[np.ix_(rows, idx, idx)], config.method, failed)
+            probs[np.ix_(rows, idx)] = p
+            residual[rows] = r
+            errors.update((int(rows[k]), e) for k, e in failed.items())
+    return probs, residual
 
 
 class CoupledStack(NamedTuple):
@@ -302,30 +324,17 @@ def couple_stack(stack: np.ndarray, config: CouplingConfig) -> CoupledStack:
         raise ShapeError(f"expected an (N, c, c) stack with c >= 2, got shape {stack.shape}")
     if not np.all(np.isfinite(stack)):
         raise ShapeError("pairwise matrix contains non-finite entries")
-    n, c = stack.shape[:2]
     if config.stabilization is Stabilization.CLIP:
         stack = _clip_stack(stack, config.tau)
-    probs, residual = np.zeros((n, c)), np.zeros(n)
     errors: dict[int, PlmError] = {}
-    for keep, rows in _groups(stack, config):
-        idx = np.nonzero(keep)[0]
-        if idx.size == 0:
-            errors.update((int(k), EmptyResultError(_ALL_DROPPED)) for k in rows)
-        elif idx.size == 1:
-            # a single survivor takes all the mass: the one-class distribution
-            probs[rows, idx[0]] = 1.0
-        else:
-            failed: dict[int, PlmError] = {}
-            whole = rows.size == n and idx.size == c
-            sub = stack if whole else stack[np.ix_(rows, idx, idx)]
-            p, r = _couple_method(sub, config.method, failed)
-            probs[np.ix_(rows, idx)] = p
-            residual[rows] = r
-            errors.update((int(rows[k]), e) for k, e in failed.items())
+    if config.stabilization is Stabilization.DROP_CLASSES:
+        probs, residual = _couple_dropped(stack, config, errors)
+    else:
+        probs, residual = _couple_method(stack, config.method, errors)
     if errors:
         probs[list(errors)] = np.nan
         residual[list(errors)] = np.nan
-    return CoupledStack(probs, residual, tuple(errors.get(k) for k in range(n)))
+    return CoupledStack(probs, residual, tuple(errors.get(k) for k in range(len(stack))))
 
 
 def couple_wlw(matrix: PairwiseLikelihoodMatrix) -> Posterior:

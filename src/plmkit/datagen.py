@@ -18,6 +18,7 @@ from .core import (
     Posterior,
     SingularityError,
     from_upper,
+    off_diagonal,
     triu_index,
 )
 from .coupling import theta_map
@@ -166,7 +167,7 @@ def perturb_manifold(p: Posterior, noise_scale: float, seed: int) -> PairwiseLik
         return theta_map(p)
     base = theta_map(p).entries
     c = p.c
-    theta = np.where(~np.eye(c, dtype=bool), np.log(1.0 / np.maximum(base, 1e-300) - 1.0), 0.0)
+    theta = np.where(off_diagonal(c), np.log(1.0 / np.maximum(base, 1e-300) - 1.0), 0.0)
     rng = np.random.Generator(np.random.PCG64(seed))
     iu = triu_index(c)
     noise = np.zeros((c, c))

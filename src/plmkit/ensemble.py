@@ -229,6 +229,27 @@ def bootstrap_recombine(
 _DECILES = np.linspace(0.1, 0.9, 9)
 
 
+def _deciles(arr: np.ndarray) -> np.ndarray:
+    """(B, 9, c) deciles d10 .. d90 of a (B, m, c) block along its axis 1.
+
+    Bit for bit ``np.quantile(arr, _DECILES, axis=1)`` (method "linear") for
+    finite input, but from one sort and without the ``numpy.ma`` import that
+    ``np.quantile`` pays: numpy's virtual index and its two-sided lerp.
+    """
+    m = arr.shape[1]
+    virtual = (m - 1) * _DECILES
+    lo = np.floor(virtual).astype(np.intp)
+    lo[virtual >= m - 1] = -1  # numpy's index for the last value (m == 1 here)
+    hi = np.where(lo < 0, -1, lo + 1)
+    gamma = (virtual - lo)[:, None]
+    ordered = np.sort(arr, axis=1)
+    a, b = ordered[:, lo], ordered[:, hi]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1.0 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def summarize_stack(probs: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-class statistics of each sample of a (B, n, c) block of coupled rows.
 
@@ -244,13 +265,13 @@ def summarize_stack(probs: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, 
     if np.any(kept == 0):
         raise PlmError("every matrix failed to couple")
     stats = np.zeros((len(probs), 13, probs.shape[2]))
-    for m in np.unique(kept):
+    for m in sorted(set(kept.tolist())):
         group = np.flatnonzero(kept == m)
         arr = probs[group][~failed[group]].reshape(group.size, m, -1)
         stats[group, 0] = arr.mean(axis=1)
         stats[group, 1] = arr.std(axis=1, ddof=0)
         stats[group, 2] = arr.min(axis=1)
-        stats[group, 3:12] = np.quantile(arr, _DECILES, axis=1).swapaxes(0, 1)
+        stats[group, 3:12] = _deciles(arr)
         stats[group, 12] = arr.max(axis=1)
     return stats, probs.shape[1] - kept
 

@@ -10,6 +10,8 @@ import csv
 
 import numpy as np
 
+from plmkit.core import SUM_TOL, SYM_TOL
+
 
 def delta2_ref(m: np.ndarray, p: np.ndarray) -> float:
     total = 0.0
@@ -133,6 +135,64 @@ def bc_lstsq_oracle(m: np.ndarray) -> tuple[np.ndarray, float]:
     v, *_ = np.linalg.lstsq(a, y, rcond=None)
     p = np.exp(v - v.max())
     return p / p.sum(), float(np.linalg.norm(y - a @ v))
+
+
+def posterior_violations_ref(probs: np.ndarray) -> dict:
+    """Per-row simplex checks, every invariant tested on every row."""
+    finite = np.isfinite(probs).all(axis=1)
+    in_range = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
+    sums = probs.sum(axis=1)
+    out = {}
+    for row in np.nonzero(~(finite & in_range & (np.abs(sums - 1.0) <= SUM_TOL)))[0]:
+        if not finite[row]:
+            out[int(row)] = "posterior contains non-finite entries"
+        elif not in_range[row]:
+            out[int(row)] = "posterior entries must lie in [0, 1]"
+        else:
+            out[int(row)] = f"posterior sums to {sums[row]:.12g}, outside tolerance {SUM_TOL}"
+    return out
+
+
+def pairwise_violations_ref(stack: np.ndarray) -> dict:
+    """Per-entry pairwise checks: masks of the whole stack, then messages."""
+    c = stack.shape[-1]
+    diag_bad = np.diagonal(stack, axis1=1, axis2=2) != 0.0
+    off = ~np.eye(c, dtype=bool)
+    range_bad = off & ((stack < 0.0) | (stack > 1.0))
+    s = stack + np.swapaxes(stack, 1, 2)
+    sum_bad = np.triu(np.abs(s - 1.0) > SYM_TOL, k=1)
+    bad = diag_bad.any(axis=1) | range_bad.any(axis=(1, 2)) | sum_bad.any(axis=(1, 2))
+    out = {}
+    for row in np.nonzero(bad)[0]:
+        m = stack[row]
+        violations = [
+            f"diagonal entry ({k},{k}) is {m[k, k]:.12g}, expected exactly 0"
+            for k in np.nonzero(diag_bad[row])[0]
+        ]
+        violations += [
+            f"entry ({i},{j}) = {m[i, j]:.12g} outside [0, 1]"
+            for i, j in zip(*np.nonzero(range_bad[row]))
+        ]
+        violations += [
+            f"complement violation at ({i},{j}): r_ij + r_ji = {s[row, i, j]:.12g}, expected 1"
+            for i, j in zip(*np.nonzero(sum_bad[row]))
+        ]
+        out[int(row)] = violations
+    return out
+
+
+def clip_stack_ref(stack: np.ndarray, tau: float) -> np.ndarray:
+    """Clip the upper triangles through fancy indexing; a lower entry becomes
+    the complement of its clipped upper entry only where the clip moved it."""
+    c = stack.shape[-1]
+    rows, cols = np.triu_indices(c, k=1)
+    m = stack.copy()
+    orig = m[:, rows, cols]
+    upper = np.clip(orig, tau, 1.0 - tau)
+    m[:, rows, cols] = upper
+    m[:, cols, rows] = np.where(upper != orig, 1.0 - upper, m[:, cols, rows])
+    m[:, np.arange(c), np.arange(c)] = 0.0
+    return m
 
 
 def random_posterior(rng: np.random.Generator, c: int, min_entry: float = 1e-3) -> np.ndarray:

@@ -1,9 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from plmkit import LabeledBatch, Posterior
+from plmkit import LabeledBatch, Posterior, cli
 from plmkit.cli import main
 from plmkit.fileio import (
     read_distances,
@@ -240,6 +243,37 @@ class TestBootstrap:
         assert main(["bootstrap", args[0], args[1], str(o1)] + args[2:]) == 0
         assert main(["bootstrap", args[0], args[1], str(o2)] + args[2:]) == 0
         assert o1.read_bytes() == o2.read_bytes()
+
+    def test_repeated_path_read_once(self, tmp_path, monkeypatch):
+        a, _ = self._write_sources(tmp_path)
+        copies = [tmp_path / f"copy{k}.csv" for k in range(3)]
+        for copy in copies:
+            copy.write_bytes(a.read_bytes())
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return read_pairwise_stack(path)
+
+        monkeypatch.setattr(cli, "read_pairwise_stack", counting)
+        flags = ["--n", "30", "--seed", "4"]
+        same, apart = tmp_path / "same.csv", tmp_path / "apart.csv"
+        assert main(["bootstrap", str(a), str(a), str(a), str(same), *flags]) == 0
+        assert reads == [str(a)]
+        assert main(["bootstrap", *map(str, copies), str(apart), *flags]) == 0
+        assert same.read_bytes() == apart.read_bytes()
+
+    def test_never_imports_numpy_ma(self, tmp_path):
+        a, b = self._write_sources(tmp_path)
+        out = tmp_path / "o.csv"
+        script = (
+            "import sys; from plmkit.cli import main; "
+            f"main(['bootstrap', {str(a)!r}, {str(b)!r}, {str(out)!r}]); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert run.stdout == "False\n" and out.exists()
 
     def test_id_misalignment(self, tmp_path):
         p = Posterior([0.2, 0.3, 0.5])

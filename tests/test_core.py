@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmkit import (
     BinaryPrediction,
@@ -12,7 +14,18 @@ from plmkit import (
     ThetaMatrix,
     validate_pairwise,
 )
-from plmkit.core import from_upper, posterior_violations, triu_index
+from plmkit.core import (
+    SUM_TOL,
+    SYM_TOL,
+    diag_index,
+    from_upper,
+    off_diagonal,
+    pairwise_violations,
+    posterior_violations,
+    strict_upper,
+    triu_index,
+)
+from oracles import pairwise_violations_ref, posterior_violations_ref
 
 
 class TestPosterior:
@@ -110,6 +123,61 @@ class TestPosteriorViolations:
         assert found[3] == "posterior sums to 1.1, outside tolerance 1e-09"
 
 
+def _pairwise_row(data, c):
+    """A valid matrix, then a few entries nudged: onto the diagonal, just
+    outside [0, 1], or off their complement by just under or over SYM_TOL."""
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32)))
+    upper = rng.random(c * (c - 1) // 2)
+    edge = rng.random(upper.size) < 0.3
+    upper[edge] = rng.choice([0.0, 1.0, 0.5, -1e-12, 1.0 + 1e-12], size=edge.sum())
+    m = from_upper(upper[None], c)[0]
+    nudge = st.sampled_from(
+        [0.999 * SYM_TOL, 1.001 * SYM_TOL, -0.999 * SYM_TOL, -1.001 * SYM_TOL, 1e-12, 0.25, 1.0]
+    )
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        i, j = data.draw(st.tuples(*[st.integers(min_value=0, max_value=c - 1)] * 2))
+        m[i, j] += data.draw(nudge)
+    return m
+
+
+def _posterior_row(data, c):
+    """A normalized or one-hot posterior, sometimes with an entry replaced by
+    a value outside [0, 1] or not finite, or its sum moved by about SUM_TOL."""
+    raw = data.draw(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=c, max_size=c))
+    p = np.array(raw) / sum(raw)
+    if data.draw(st.booleans()):
+        p = np.eye(c)[data.draw(st.integers(min_value=0, max_value=c - 1))]
+    special = st.sampled_from([np.nan, np.inf, -np.inf, -1e-12, 1.0 + 1e-12, 0.0, 1.0])
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        p[data.draw(st.integers(min_value=0, max_value=c - 1))] = data.draw(special)
+    if data.draw(st.booleans()):
+        p[np.argmax(p)] += data.draw(st.sampled_from([0.5, 2.0, -0.5, -2.0])) * SUM_TOL
+    return p
+
+
+class TestFusedChecks:
+    """The fused all-valid tests report exactly what per-entry masks report:
+    the same rows, the same messages, in the same order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=6))
+    def test_pairwise_matches_masks(self, data, c, n):
+        stack = np.array([_pairwise_row(data, c) for _ in range(n)])
+        before = stack.copy()
+        got = pairwise_violations(stack)
+        assert list(got.items()) == list(pairwise_violations_ref(stack).items())
+        assert np.array_equal(stack, before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=6))
+    def test_posterior_matches_masks(self, data, c, n):
+        probs = np.array([_posterior_row(data, c) for _ in range(n)])
+        with np.errstate(invalid="ignore"):  # inf - inf in a row sum
+            expected = posterior_violations_ref(probs)
+            got = posterior_violations(probs)
+        assert list(got.items()) == list(expected.items())
+
+
 class TestTriangle:
     @pytest.mark.parametrize("c", [0, 1, 2, 5])
     def test_cached_read_only_row_major(self, c):
@@ -119,6 +187,16 @@ class TestTriangle:
         assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
         with pytest.raises(ValueError):
             rows[...] = 0
+
+    @pytest.mark.parametrize("c", [2, 5])
+    def test_cached_masks(self, c):
+        d = diag_index(c)
+        assert np.array_equal(d, np.arange(c)) and diag_index(c) is d
+        assert np.array_equal(off_diagonal(c), ~np.eye(c, dtype=bool))
+        assert np.array_equal(strict_upper(c), np.triu(np.ones((c, c), dtype=bool), k=1))
+        for a in (d, off_diagonal(c), strict_upper(c)):
+            with pytest.raises(ValueError):
+                a[...] = 0
 
     def test_from_upper_exact_complements(self):
         upper = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, 5e-324]])

@@ -28,8 +28,8 @@ from plmkit import (
     theta_of,
     validate_pairwise,
 )
-from plmkit.coupling import _solve_augmented, _wlw_quadratic
-from oracles import quadratic_form, random_offmanifold, random_posterior
+from plmkit.coupling import _clip_stack, _solve_augmented, _wlw_quadratic
+from oracles import clip_stack_ref, quadratic_form, random_offmanifold, random_posterior
 
 OFF_MANIFOLD = PairwiseLikelihoodMatrix(
     [[0.0, 0.6, 0.6], [0.4, 0.0, 0.6], [0.4, 0.4, 0.0]]
@@ -236,6 +236,29 @@ class TestStabilizeClip:
         for _ in range(20):
             m = PairwiseLikelihoodMatrix(random_offmanifold(rng, 5))
             assert validate_pairwise(stabilize_clip(m, 1e-3)) == []
+
+    # whole-matrix clipping against the upper-triangle fancy-index reference,
+    # bit for bit, broken complements included
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from([1e-6, 1e-3, 0.1]),
+    )
+    def test_matches_fancy_index_reference(self, seed, c, n, tau):
+        rng = np.random.default_rng(seed)
+        stack = rng.random((n, c, c))
+        edge = rng.random(stack.shape) < 0.5
+        stack[edge] = rng.choice([0.0, 1.0, tau, 1.0 - tau, tau / 2, 0.5], size=edge.sum())
+        iu = np.triu_indices(c, k=1)
+        for k in np.flatnonzero(rng.random(n) < 0.5):  # the others keep broken complements
+            stack[k, iu[1], iu[0]] = 1.0 - stack[k][iu]
+        expected = clip_stack_ref(stack, tau)
+        got = _clip_stack(stack, tau)
+        assert got.tobytes() == expected.tobytes()
+        single = stabilize_clip(PairwiseLikelihoodMatrix(stack[0]), tau).entries
+        assert single.tobytes() == expected[0].tobytes()
 
 
 class TestStabilizeDrop:

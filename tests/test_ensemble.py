@@ -21,7 +21,15 @@ from plmkit import (
 )
 from plmkit import ensemble
 from plmkit.coupling import couple_stack
-from plmkit.ensemble import _pair_rng, _stream_choices, recombine_stack, summarize, summarize_stack
+from plmkit.ensemble import (
+    _DECILES,
+    _deciles,
+    _pair_rng,
+    _stream_choices,
+    recombine_stack,
+    summarize,
+    summarize_stack,
+)
 from oracles import random_offmanifold, random_posterior, summary_ref
 
 
@@ -260,6 +268,30 @@ class TestSummarizeStack:
             assert stats[b].tobytes() == single.tobytes() == ref.tobytes()
             assert excluded[b] == one.n_excluded == failed[b].sum()
             assert one.n_samples == n - one.n_excluded
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 5e-324, 2.2e-308, 0.5, 1 / 3]),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=2**32),
+        st.booleans(),
+    )
+    def test_deciles_equal_np_quantile(self, pool, n, seed, ties):
+        """One sort and numpy's lerp give np.quantile's deciles bit for bit,
+        with ties, exact 0 and 1, and subnormals."""
+        rng = np.random.default_rng(seed)
+        arr = np.array(pool)[rng.integers(len(pool), size=(2, n, 3))]
+        if not ties:  # pool values among uniform draws
+            arr = np.where(rng.random(arr.shape) < 0.2, arr, rng.random(arr.shape))
+        expected = np.quantile(arr, _DECILES, axis=1).swapaxes(0, 1)
+        assert _deciles(arr).tobytes() == expected.tobytes()
 
     def test_sample_with_no_coupled_row(self):
         probs = np.full((2, 3, 2), 0.5)

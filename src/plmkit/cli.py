@@ -7,12 +7,12 @@ Exit codes: 0 success, 1 input/format error, 2 numerical failure when
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 import numpy as np
 
 from . import __version__
-from .abstention import SurenessScore, calibrate_threshold, sureness_stack
 from .core import (
     CouplingConfig,
     Method,
@@ -20,8 +20,6 @@ from .core import (
     Stabilization,
 )
 from .coupling import couple_stack, theta_map_stack
-from .datagen import BlobSpec, bayes_posterior_blobs, generate_blobs
-from .ensemble import CorrectionPatch, correct_stack, recombine_stack, summarize_stack
 from .fileio import (
     FORMAT_VERSION,
     FormatError,
@@ -40,7 +38,10 @@ from .fileio import (
     write_report,
     write_summary_stack,
 )
-from .metrics import accuracy, confusion_matrix, worst_confused_pair
+
+# abstention, datagen, ensemble and metrics are imported by the commands that
+# use them: every process start pays to load (and, without cached bytecode,
+# compile) each module it imports
 
 _METHODS = {"wlw": Method.WU_LIN_WENG, "bc": Method.BAYES_COVARIANT}
 _STABILIZERS = {
@@ -86,6 +87,9 @@ def cmd_couple(args) -> int:
 
 
 def cmd_correct(args) -> int:
+    from .ensemble import CorrectionPatch, correct_stack
+    from .metrics import accuracy
+
     ids, probs = read_posterior_stack(args.posteriors)
     if not ids:
         raise FormatError(f"{args.posteriors}: no samples to correct")
@@ -129,6 +133,8 @@ _BOOTSTRAP_BLOCK = 1000
 
 
 def cmd_bootstrap(args) -> int:
+    from .ensemble import recombine_stack, summarize_stack
+
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     parsed = {path: read_pairwise_stack(path) for path in dict.fromkeys(args.inputs)}
@@ -167,6 +173,8 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from .abstention import SurenessScore, sureness_stack
+
     ids, stack = read_pairwise_stack(args.input)
     config = CouplingConfig(method=_METHODS[args.method], tau=args.tau)
     coupled = sureness_stack(stack, config)
@@ -180,6 +188,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .abstention import calibrate_threshold
+
     distances = [d for _, _, d in read_distances(args.input)]
     threshold = calibrate_threshold(distances, args.quantile)
     print(f"{threshold:.17g}")
@@ -187,6 +197,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .metrics import accuracy, confusion_matrix, worst_confused_pair
+
     ids, probs = read_posterior_stack(args.posteriors)
     labels = read_labels(args.labels, c=probs.shape[1] if ids else None)
     # ties go to the lowest index
@@ -205,6 +217,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .datagen import BlobSpec, bayes_posterior_blobs, generate_blobs
+
     if args.dim is None:
         args.dim = args.c
     means = np.zeros((args.c, args.dim))
@@ -322,5 +336,17 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """Process entry point: ``main`` on ``sys.argv`` after freezing the heap.
+
+    ``gc.freeze`` moves every object alive now (numpy's and plmkit's import-time
+    objects) to the permanent generation, so no collection, the final one at
+    interpreter shutdown included, traverses them again.  It is called here and
+    not in ``main``, which in-process callers run many times.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,7 +1,9 @@
 import csv
+import gc
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,9 @@ from plmkit.coupling import couple_stack
 from plmkit.ensemble import _pair_rng, summarize
 from plmkit.fileio import read_pairwise_stack, write_pairwise_stack
 from oracles import random_offmanifold, summary_rows
+
+# child processes import plmkit from wherever this process does
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
 
 @pytest.fixture
@@ -271,8 +276,9 @@ class TestBootstrap:
             f"main(['bootstrap', {str(a)!r}, {str(b)!r}, {str(out)!r}]); "
             "print('numpy.ma' in sys.modules)"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+        )
         assert run.stdout == "False\n" and out.exists()
 
     def test_id_misalignment(self, tmp_path):
@@ -418,3 +424,81 @@ class TestVersionFlag:
             main(["--version"])
         assert exc.value.code == 0
         assert "plm-v1" in capsys.readouterr().out
+
+
+class TestCommandImports:
+    """Each command imports only the plmkit modules it runs."""
+
+    @pytest.mark.parametrize(
+        "command, uses", [("restrict", []), ("couple", []), ("distance", ["abstention"])]
+    )
+    def test_loads_only_its_modules(self, tmp_path, posterior_file, command, uses):
+        pair = tmp_path / "pair.csv"
+        assert main(["restrict", str(posterior_file), str(pair)]) == 0
+        source = posterior_file if command == "restrict" else pair
+        out = tmp_path / "out.csv"
+        script = (
+            "import sys; from plmkit.cli import main; "
+            f"code = main([{command!r}, {str(source)!r}, {str(out)!r}]); "
+            "print(code, [m for m in ('abstention', 'datagen', 'ensemble', 'metrics') "
+            "if 'plmkit.' + m in sys.modules])"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert run.stdout == f"0 {uses}\n" and out.exists()
+
+
+class TestEntryPoints:
+    def test_main_does_not_freeze(self, tmp_path, posterior_file):
+        before = gc.get_freeze_count()
+        assert main(["restrict", str(posterior_file), str(tmp_path / "pair.csv")]) == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.fixture
+    def inputs(self, tmp_path, posterior_file):
+        (tmp_path / "good.csv").write_bytes(posterior_file.read_bytes())
+        (tmp_path / "bad.csv").write_text("sample_id,p_0,p_1\na,0.5,0.6\n")
+        m = PairwiseLikelihoodMatrix([[0.0, 1.0, 0.6], [0.0, 0.0, 0.6], [0.4, 0.4, 0.0]])
+        write_pairwise(tmp_path / "pair.csv", [("a", m)])
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "args, code, err",
+        [
+            (["restrict", "good.csv", "o.csv"], 0, ""),
+            (
+                ["restrict", "bad.csv", "o.csv"],
+                1,
+                "error: bad.csv:2: posterior sums to 1.1, outside tolerance 1e-09\n",
+            ),
+            (
+                ["couple", "pair.csv", "o.csv", "--method", "bc", "--stabilize", "none", "--strict"],
+                2,
+                "failed: a: pairwise entry at 0 or 1: log-odds map diverges "
+                "(apply clip stabilization)\n",
+            ),
+        ],
+    )
+    def test_module_run_exit_code_and_stderr(self, inputs, args, code, err):
+        run = subprocess.run(
+            [sys.executable, "-m", "plmkit.cli", *args],
+            capture_output=True, text=True, env=CHILD_ENV, cwd=inputs,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (code, "", err)
+
+    @pytest.mark.parametrize("source, code", [("good.csv", 0), ("bad.csv", 1)])
+    def test_console_script_returns_exit_code(self, inputs, source, code):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["plmkit"]
+        module, func = target.split(":")
+        script = (
+            f"import gc, sys; from {module} import {func}; "
+            f"sys.argv = ['plmkit', 'restrict', {source!r}, 'o.csv']; "
+            f"print({func}(), gc.get_freeze_count() > 0)"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV, cwd=inputs
+        )
+        assert run.stdout == f"{code} True\n"

@@ -29,12 +29,11 @@ from .fileio import (
     read_patch,
     read_posterior_stack,
     write_confusion,
-    write_distances,
+    write_distance_stack,
     write_features,
     write_labels,
     write_pairwise_stack,
     write_posterior_stack,
-    write_posteriors,
     write_report,
     write_summary_stack,
 )
@@ -118,8 +117,9 @@ def cmd_correct(args) -> int:
         for mname in sorted(_METHODS):
             pts = [(pa, ma) for _, m, pa, ma in rows if m == mname and np.isfinite(pa)]
             x, y = np.array(pts).reshape(-1, 2).T
-            if np.unique(x).size < 2:
-                # a line through fewer than two distinct x values is undefined
+            # a line through fewer than two distinct x values is undefined;
+            # np.unique would load numpy.ma to say so
+            if not (x != x[:1]).any():
                 fits.append((mname, None, None))
             else:
                 slope, intercept = np.polyfit(x, y, 1)
@@ -173,17 +173,13 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    from .abstention import SurenessScore, sureness_stack
+    from .abstention import sureness_stack
 
     ids, stack = read_pairwise_stack(args.input)
-    config = CouplingConfig(method=_METHODS[args.method], tau=args.tau)
-    coupled = sureness_stack(stack, config)
+    method = _METHODS[args.method]
+    coupled = sureness_stack(stack, CouplingConfig(method=method, tau=args.tau))
     coupled.raise_first()
-    scores = [
-        SurenessScore(sample_id=sid, method=config.method, distance=float(d))
-        for sid, d in zip(ids, coupled.residual)
-    ]
-    write_distances(args.output, scores)
+    write_distance_stack(args.output, ids, [method.value] * len(ids), coupled.residual)
     return 0
 
 
@@ -217,7 +213,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .datagen import BlobSpec, bayes_posterior_blobs, generate_blobs
+    from .datagen import BlobSpec, bayes_posterior_stack, generate_blobs
 
     if args.dim is None:
         args.dim = args.c
@@ -233,14 +229,11 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     features, batch = generate_blobs(spec)
+    ids = [sid for sid, _ in batch.samples]
     write_labels(args.labels, batch)
-    posteriors = [
-        (sid, bayes_posterior_blobs(spec, x))
-        for (sid, _), x in zip(batch.samples, features)
-    ]
-    write_posteriors(args.posteriors, posteriors)
+    write_posterior_stack(args.posteriors, ids, bayes_posterior_stack(spec, features))
     if args.features:
-        write_features(args.features, [sid for sid, _ in batch.samples], features)
+        write_features(args.features, ids, features)
     return 0
 
 

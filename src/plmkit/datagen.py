@@ -110,12 +110,18 @@ def generate_blobs(spec: BlobSpec) -> tuple[np.ndarray, LabeledBatch]:
     return features, LabeledBatch(samples=tuple(samples), c=spec.c)
 
 
-def bayes_posterior_blobs(spec: BlobSpec, x: np.ndarray) -> Posterior:
-    """Exact class posterior of the blob mixture under equal priors."""
-    d2 = np.sum((spec.means - np.asarray(x, dtype=float)[None, :]) ** 2, axis=1)
+def bayes_posterior_stack(spec: BlobSpec, features: np.ndarray) -> np.ndarray:
+    """Exact class posteriors of the blob mixture under equal priors: (N, dim) -> (N, c)."""
+    x = np.asarray(features, dtype=float)
+    d2 = np.sum((spec.means[None, :, :] - x[:, None, :]) ** 2, axis=2)
     logp = -d2 / (2.0 * spec.scale**2)
-    w = np.exp(logp - logp.max())
-    return Posterior(w / w.sum())
+    w = np.exp(logp - logp.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def bayes_posterior_blobs(spec: BlobSpec, x: np.ndarray) -> Posterior:
+    """Exact class posterior of the blob mixture under equal priors for one point."""
+    return Posterior(bayes_posterior_stack(spec, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def train_binary_glm(

@@ -7,6 +7,7 @@ least-squares problem.
 """
 
 import csv
+import io
 
 import numpy as np
 
@@ -214,6 +215,14 @@ def random_offmanifold(rng: np.random.Generator, c: int) -> np.ndarray:
     return m
 
 
+def bayes_posterior_ref(means: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
+    """Blob posterior of one point, as it was computed one point at a time."""
+    d2 = np.sum((means - x[None, :]) ** 2, axis=1)
+    logp = -d2 / (2.0 * scale**2)
+    w = np.exp(logp - logp.max())
+    return w / w.sum()
+
+
 def summary_ref(probs: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """(13, c) per-class mean, sd, min, deciles d10..d90 and max of the ok rows
     of an (n, c) block, one sample at a time with numpy's reductions."""
@@ -229,15 +238,117 @@ def summary_ref(probs: np.ndarray, ok: np.ndarray) -> np.ndarray:
     )
 
 
-def summary_rows(path, rows) -> None:
-    """A summary file written row by row through csv.writer, from
-    (sample_id, (13, c) statistics, excluded count) per sample."""
+# -- plm-v1 writers as they were written row by row through csv.writer ---------
+# Byte oracles for fileio's table writer; a string field is quoted as csv
+# quotes it, and also where it would make its line read as a comment.
+
+
+def id_field_ref(sid: str) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([sid, ""])
+    field = buf.getvalue()[:-2]
+    if field.lstrip().startswith("#"):
+        field = '"' + sid.replace('"', '""') + '"'
+    return field
+
+
+def _rows_ref(path, header, rows, comments=()) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("# plm-v1\n")
-        w = csv.writer(fh, lineterminator="\n")
-        header = ["sample_id", "class", "mean", "sd", "min"]
-        w.writerow(header + [f"d{k}" for k in range(10, 100, 10)] + ["max"])
-        for sid, stats, excluded in rows:
-            for k in range(stats.shape[1]):
-                w.writerow([sid, k] + [f"{float(x):.17g}" for x in stats[:, k]])
-            w.writerow([sid, "excluded", excluded] + [""] * 12)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(rows)
+        fh.writelines(comments)
+
+
+def _g(x) -> str:
+    return f"{float(x):.17g}"
+
+
+def posterior_rows(path, ids, probs, failures=()) -> None:
+    _rows_ref(
+        path,
+        ["sample_id"] + [f"p_{k}" for k in range(probs.shape[1])],
+        [",".join([id_field_ref(sid), *map(_g, p)]) + "\n" for sid, p in zip(ids, probs)],
+        [f"# failed: {sid}: {msg}\n" for sid, msg in failures],
+    )
+
+
+def pairwise_rows(path, ids, stack) -> None:
+    c = stack.shape[-1]
+    _rows_ref(
+        path,
+        ["sample_id", "i", "j", "r_ij"],
+        [
+            f"{id_field_ref(sid)},{i},{j},{_g(m[i, j])}\n"
+            for sid, m in zip(ids, stack)
+            for i in range(c)
+            for j in range(i + 1, c)
+        ],
+    )
+
+
+def label_rows(path, samples) -> None:
+    rows = [f"{id_field_ref(sid)},{label}\n" for sid, label in samples]
+    _rows_ref(path, ["sample_id", "label"], rows)
+
+
+def distance_rows(path, rows) -> None:
+    """From (sample_id, method, distance) per row."""
+    _rows_ref(
+        path,
+        ["sample_id", "method", "distance"],
+        [f"{id_field_ref(sid)},{method},{_g(d)}\n" for sid, method, d in rows],
+    )
+
+
+def summary_rows(path, rows) -> None:
+    """From (sample_id, (13, c) statistics, excluded count) per sample."""
+    header = ["sample_id", "class", "mean", "sd", "min"] + [f"d{k}" for k in range(10, 100, 10)]
+    lines = []
+    for sid, stats, excluded in rows:
+        field = id_field_ref(sid)
+        for k in range(stats.shape[1]):
+            lines.append(",".join([field, str(k), *(_g(x) for x in stats[:, k])]) + "\n")
+        lines.append(",".join([field, "excluded", str(excluded)] + [""] * 12) + "\n")
+    _rows_ref(path, header + ["max"], lines)
+
+
+def feature_rows(path, ids, features) -> None:
+    _rows_ref(
+        path,
+        ["sample_id"] + [f"x_{d}" for d in range(features.shape[1])],
+        [",".join([id_field_ref(sid), *map(_g, row)]) + "\n" for sid, row in zip(ids, features)],
+    )
+
+
+def confusion_rows(path, counts) -> None:
+    c = counts.shape[0]
+    _rows_ref(
+        path,
+        ["true\\pred"] + list(range(c)),
+        [",".join(str(int(x)) for x in [i, *counts[i]]) + "\n" for i in range(c)],
+    )
+
+
+def report_rows(path, rows, fits) -> None:
+    """From (patch, method, pairwise accuracy, multiclass accuracy) rows and
+    (method, slope or None, intercept) fits; patch and method go through csv."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    for patch, method, pair_acc, multi_acc in rows:
+        w.writerow([patch, method, _g(pair_acc), _g(multi_acc)])
+    _rows_ref(
+        path,
+        ["patch", "method", "pairwise_accuracy", "multiclass_accuracy"],
+        [buf.getvalue()],
+        [
+            f"# ols {method}: undefined (pairwise_accuracy has no spread)\n"
+            if slope is None
+            else f"# ols {method}: slope={_g(slope)} intercept={_g(intercept)}\n"
+            for method, slope, intercept in fits
+        ],
+    )
+
+
+def patch_rows(path, triples) -> None:
+    _rows_ref(path, ["i", "j", "prob_i"], [f"{i},{j},{_g(q)}\n" for i, j, q in triples])

@@ -181,6 +181,40 @@ class TestCorrect:
             f"# ols {m}: undefined (pairwise_accuracy has no spread)" for m in ("bc", "wlw")
         ]
 
+    @pytest.mark.parametrize("patch_rows", ["", "0,1,0.9\n"], ids=["no x", "one x"])
+    def test_ols_needs_two_distinct_x(self, tmp_path, posterior_file, patch_rows):
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, LabeledBatch(samples=(("a", 2), ("b", 2), ("c", 0)), c=3))
+        patch = tmp_path / "p.csv"
+        patch.write_text("i,j,prob_i\n" + patch_rows)
+        out = tmp_path / "report.csv"
+        args = ["correct", str(posterior_file), str(labels), str(out), "--ols", "--patch", str(patch)]
+        assert main(args) == 0
+        ols = [l for l in out.read_text().splitlines() if l.startswith("# ols ")]
+        assert ols == [
+            f"# ols {m}: undefined (pairwise_accuracy has no spread)" for m in ("bc", "wlw")
+        ]
+
+    def test_ols_never_imports_numpy_ma(self, tmp_path, posterior_file):
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, LabeledBatch(samples=(("a", 2), ("b", 2), ("c", 0)), c=3))
+        patches = [tmp_path / "p1.csv", tmp_path / "p2.csv"]
+        patches[0].write_text("i,j,prob_i\n0,1,0.9\n")
+        patches[1].write_text("i,j,prob_i\n0,2,0.1\n")
+        out = tmp_path / "report.csv"
+        args = ["correct", str(posterior_file), str(labels), str(out), "--ols"]
+        args += ["--patch", str(patches[0]), "--patch", str(patches[1])]
+        script = (
+            "import sys; from plmkit.cli import main; "
+            f"print(main({[str(a) for a in args]!r}), 'numpy.ma' in sys.modules)"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert run.stdout == "0 False\n"
+        fits = [l.split("=")[0] for l in out.read_text().splitlines()[-2:]]
+        assert fits == ["# ols bc: slope", "# ols wlw: slope"]
+
     def test_empty_posteriors_rejected(self, tmp_path, capsys):
         post = tmp_path / "post.csv"
         post.write_text("sample_id,p_0,p_1\n")

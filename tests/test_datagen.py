@@ -15,7 +15,8 @@ from plmkit import (
     train_binary_glm,
     validate_pairwise,
 )
-from oracles import random_posterior
+from plmkit.datagen import bayes_posterior_stack
+from oracles import bayes_posterior_ref, random_posterior
 
 
 def make_spec(**overrides):
@@ -75,6 +76,19 @@ class TestBayesPosterior:
         spec = make_spec(c=2, means=np.array([[0.0, 0.0], [4.0, 0.0]]))
         p = bayes_posterior_blobs(spec, np.array([2.0, 0.0]))
         np.testing.assert_allclose(p.probs, [0.5, 0.5], atol=1e-12)
+
+
+    @pytest.mark.parametrize("c, dim", [(3, 2), (10, 10), (4, 17)])
+    def test_stack_matches_one_point_at_a_time(self, c, dim):
+        """Bit for bit: synth's posterior file must not change with the batching."""
+        rng = np.random.default_rng(c * dim)
+        means = rng.normal(0.0, 3.0, (c, dim))
+        spec = make_spec(c=c, dim=dim, means=means, scale=1.5, n_per_class=20)
+        features, _ = generate_blobs(spec)
+        stack = bayes_posterior_stack(spec, features)
+        expected = np.array([bayes_posterior_ref(spec.means, spec.scale, x) for x in features])
+        assert stack.shape == (c * 20, c) and stack.tobytes() == expected.tobytes()
+        assert bayes_posterior_blobs(spec, features[3]).probs.tobytes() == expected[3].tobytes()
 
 
 class TestTrainBinaryGlm:

@@ -25,13 +25,10 @@ _EXPORTS = {
         "stabilize_drop", "theta_map", "theta_of",
     ),
     "abstention": (
-        "Abstain", "SurenessScore", "abstaining_predict", "calibrate_threshold", "distance_bc",
-        "distance_wlw", "sureness", "sureness_stack",
+        "Abstain", "abstaining_predict", "calibrate_threshold", "distance_bc", "distance_wlw",
+        "sureness", "sureness_stack",
     ),
-    "ensemble": (
-        "CorrectionPatch", "EnsembleSummary", "bootstrap_recombine", "ensemble_summary",
-        "partial_correct",
-    ),
+    "ensemble": ("CorrectionPatch", "EnsembleSummary", "bootstrap_recombine", "partial_correct"),
     "metrics": (
         "accuracy", "argmax_predict", "confusion_matrix", "pairwise_accuracy",
         "worst_confused_pair",

@@ -20,17 +20,6 @@ from .coupling import CoupledStack, couple, couple_stack
 
 
 @dataclass(frozen=True)
-class SurenessScore:
-    sample_id: str
-    method: Method
-    distance: float
-
-    def __post_init__(self):
-        if self.distance < 0.0:
-            raise ValueError("distance must be non-negative")
-
-
-@dataclass(frozen=True)
 class Abstain:
     """Marker returned instead of a posterior when distance exceeds the threshold."""
 

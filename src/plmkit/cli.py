@@ -98,19 +98,21 @@ def cmd_correct(args) -> int:
     for patch_path in args.patch:
         triples = read_patch(patch_path)
         patched = correct_stack(probs, CorrectionPatch(pairs=tuple(triples)))
+        # the patch's own accuracy on its pairs; a sample without a label is
+        # rejected by accuracy() below
+        pair_accs = []
+        for i, j, q in triples:
+            pair_samples = [sid for sid in ids if truth.get(sid) in (i, j)]
+            if pair_samples:
+                predicted = i if q >= 0.5 else j
+                hits = sum(1 for sid in pair_samples if truth[sid] == predicted)
+                pair_accs.append(hits / len(pair_samples))
+        pair_acc = sum(pair_accs) / len(pair_accs) if pair_accs else float("nan")
         for mname, method in sorted(_METHODS.items()):
             coupled = couple_stack(patched, CouplingConfig(method=method))
             coupled.raise_first()
             winners = np.argmax(coupled.probs, axis=1).tolist()
             multi_acc = accuracy(list(zip(ids, winners)), labels)
-            pair_accs = []
-            for i, j, q in triples:
-                pair_samples = [sid for sid in ids if truth[sid] in (i, j)]
-                if pair_samples:
-                    predicted = i if q >= 0.5 else j
-                    hits = sum(1 for sid in pair_samples if truth[sid] == predicted)
-                    pair_accs.append(hits / len(pair_samples))
-            pair_acc = sum(pair_accs) / len(pair_accs) if pair_accs else float("nan")
             rows.append((patch_path, mname, pair_acc, multi_acc))
     fits = []
     if args.ols:

@@ -13,15 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CouplingConfig,
-    PairwiseLikelihoodMatrix,
-    PlmError,
-    Posterior,
-    ShapeError,
-    triu_index,
-)
-from .coupling import CoupledStack, couple_stack, theta_map_stack
+from .core import PairwiseLikelihoodMatrix, PlmError, Posterior, ShapeError, triu_index
+from .coupling import CoupledStack, theta_map_stack
 
 
 @dataclass(frozen=True)
@@ -293,12 +286,3 @@ def summarize(coupled: CoupledStack) -> EnsembleSummary:
         n_samples=len(failed) - int(excluded[0]),
         n_excluded=int(excluded[0]),
     )
-
-
-def ensemble_summary(
-    matrices: list[PairwiseLikelihoodMatrix], config: CouplingConfig
-) -> EnsembleSummary:
-    """Couple every matrix and aggregate per-class statistics (see :func:`summarize`)."""
-    if not matrices:
-        raise ValueError("need at least one matrix")
-    return summarize(couple_stack(np.stack([m.entries for m in matrices]), config))

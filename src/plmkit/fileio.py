@@ -20,15 +20,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import (
-    LabeledBatch,
-    PairwiseLikelihoodMatrix,
-    PlmError,
-    Posterior,
-    from_upper,
-    posterior_violations,
-    triu_index,
-)
+from .core import LabeledBatch, PlmError, from_upper, posterior_violations, triu_index
 
 FORMAT_VERSION = "plm-v1"
 
@@ -238,14 +230,20 @@ def _pair_check(i: np.ndarray, j: np.ndarray):
 _BLOCK = 1 << 14  # numbers formatted at once, which bounds a writer's memory
 
 
+def _one_line(text: str, name: str) -> str:
+    """``text``, which must hold no line break: the readers split files into
+    lines, so its tail would read as a row.  Raised before anything is written."""
+    if "\n" in text or "\r" in text:
+        raise ValueError(f"{name} {text!r} contains a line break")
+    return text
+
+
 def _quoted(texts, name: str = "sample_id") -> list[str]:
     """String fields as in a row template: quoted as the csv module quotes
-    them and where a line would read as a comment, with ``%`` doubled.  A line
-    break cannot be read back, so it is rejected before anything is written."""
+    them and where a line would read as a comment, with ``%`` doubled."""
     out = []
     for text in texts:
-        if "\n" in text or "\r" in text:
-            raise ValueError(f"{name} {text!r} contains a line break")
+        _one_line(text, name)
         if '"' in text or "," in text or text.lstrip().startswith("#"):
             text = '"' + text.replace('"', '""') + '"'
         out.append(text.replace("%", "%%"))
@@ -253,9 +251,10 @@ def _quoted(texts, name: str = "sample_id") -> list[str]:
 
 
 def _write_table(path, header: list[str], templates, values: np.ndarray, comments=()) -> None:
-    """The format line, the header row, the rows, then the comment lines: the
-    g-th template, %-formatted with the g-th row of ``values``, is the text of
-    the g-th group of rows."""
+    """The format line, the header row, the rows, then one ``# `` line per
+    comment text: the g-th template, %-formatted with the g-th row of
+    ``values``, is the text of the g-th group of rows."""
+    comments = [f"# {_one_line(text, 'comment')}\n" for text in comments]
     step = max(1, _BLOCK // max(1, values.shape[1]))
     templates = iter(templates)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
@@ -278,13 +277,7 @@ def _write_vectors(path, prefix: str, ids: list[str], values: np.ndarray, commen
 def write_posterior_stack(path, ids: list[str], probs: np.ndarray, failures=()) -> None:
     """One row per posterior of an (N, c) stack, then one ``# failed:`` comment
     per sample that failed."""
-    _write_vectors(path, "p_", ids, probs, [f"# failed: {sid}: {msg}\n" for sid, msg in failures])
-
-
-def write_posteriors(path, posteriors: list[tuple[str, Posterior]], failures=()) -> None:
-    """Rows per posterior, then one ``# failed:`` comment per sample that failed."""
-    probs = np.array([p.probs for _, p in posteriors]) if posteriors else np.zeros((0, 0))
-    write_posterior_stack(path, [sid for sid, _ in posteriors], probs, failures)
+    _write_vectors(path, "p_", ids, probs, [f"failed: {sid}: {msg}" for sid, msg in failures])
 
 
 def read_posterior_stack(path) -> tuple[list[str], np.ndarray]:
@@ -309,11 +302,6 @@ def read_posterior_stack(path) -> tuple[list[str], np.ndarray]:
     return ids, probs
 
 
-def read_posteriors(path) -> list[tuple[str, Posterior]]:
-    ids, probs = read_posterior_stack(path)
-    return [(sid, Posterior(p)) for sid, p in zip(ids, probs)]
-
-
 # -- pairwise long files: sample_id,i,j,r_ij with i < j ----------------------
 
 _PAIR_DTYPE = np.dtype([("sample_id", object), ("i", "i8"), ("j", "i8"), ("r_ij", float)])
@@ -326,11 +314,6 @@ def write_pairwise_stack(path, ids: list[str], stack: np.ndarray) -> None:
     pairs = ["", *(f",{i},{j},%.17g\n" for i, j in zip(rows.tolist(), cols.tolist()))]
     templates = (field.join(pairs) for field in _quoted(ids))
     _write_table(path, list(_PAIR_DTYPE.names), templates, stack[:, rows, cols])
-
-
-def write_pairwise(path, matrices: list[tuple[str, PairwiseLikelihoodMatrix]]) -> None:
-    stack = np.array([m.entries for _, m in matrices]) if matrices else np.zeros((0, 2, 2))
-    write_pairwise_stack(path, [sid for sid, _ in matrices], stack)
 
 
 def read_pairwise_stack(path) -> tuple[list[str], np.ndarray]:
@@ -370,16 +353,6 @@ def read_pairwise_stack(path) -> tuple[list[str], np.ndarray]:
     upper = np.zeros((len(index), c * (c - 1) // 2))
     upper[sample, i * (2 * c - i - 1) // 2 + (j - i - 1)] = r
     return list(index), from_upper(upper, c)
-
-
-def read_pairwise(path) -> list[tuple[str, PairwiseLikelihoodMatrix]]:
-    """Reassemble full matrices; the lower triangle is set to complements.
-
-    Every sample must have the class count of the first one, so a file is
-    one (N, c, c) stack.
-    """
-    ids, stack = read_pairwise_stack(path)
-    return [(sid, PairwiseLikelihoodMatrix(m)) for sid, m in zip(ids, stack)]
 
 
 # -- label files: sample_id,label --------------------------------------------
@@ -432,11 +405,6 @@ def write_distance_stack(path, ids: list[str], methods: list[str], distances: np
     _write_table(path, list(_DISTANCE_DTYPE.names), templates, np.reshape(distances, (-1, 1)))
 
 
-def write_distances(path, scores: list) -> None:
-    ids, methods = [s.sample_id for s in scores], [s.method.value for s in scores]
-    write_distance_stack(path, ids, methods, np.array([s.distance for s in scores], float))
-
-
 def read_distances(path) -> list[tuple[str, str, float]]:
     """(sample_id, method, distance) per row; every distance finite and non-negative."""
     table = _read_table(path, "sample_id,method,distance", _DISTANCE_DTYPE)
@@ -477,14 +445,6 @@ def write_summary_stack(path, ids: list[str], stats: np.ndarray, excluded: np.nd
     )
     values = np.swapaxes(stats, 1, 2).reshape(len(stats), c * _STATS)
     _write_table(path, SUMMARY_HEADER, templates, values)
-
-
-def write_summaries(path, summaries: list) -> None:
-    """Rows per sample per class, plus one excluded-count footer row per sample."""
-    stats = [np.vstack([s.mean, s.sd, s.minimum, s.deciles, s.maximum]) for _, s in summaries]
-    excluded = np.array([s.n_excluded for _, s in summaries], dtype=np.int64)
-    stats = np.array(stats) if stats else np.zeros((0, _STATS, 0))
-    write_summary_stack(path, [sid for sid, _ in summaries], stats, excluded)
 
 
 def read_summary_stack(path) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -543,9 +503,9 @@ def write_report(path, rows: list, fits: list) -> None:
     templates = (f"{patch},{method},%.17g,%.17g\n" for patch, method in fields)
     values = np.array([row[2:] for row in rows], dtype=np.float64).reshape(-1, 2)
     ols = [
-        f"# ols {method}: undefined (pairwise_accuracy has no spread)\n"
+        f"ols {method}: undefined (pairwise_accuracy has no spread)"
         if slope is None
-        else f"# ols {method}: slope={slope:.17g} intercept={intercept:.17g}\n"
+        else f"ols {method}: slope={slope:.17g} intercept={intercept:.17g}"
         for method, slope, intercept in fits
     ]
     _write_table(path, list(_REPORT_DTYPE.names), templates, values, ols)

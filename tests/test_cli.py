@@ -8,37 +8,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plmkit import LabeledBatch, Posterior, cli
+from plmkit import CouplingConfig, LabeledBatch, Method, cli
 from plmkit.cli import main
+from plmkit.coupling import couple_stack, theta_map_stack
+from plmkit.ensemble import _pair_rng, summarize
 from plmkit.fileio import (
     read_distances,
-    read_pairwise,
-    read_posteriors,
+    read_pairwise_stack,
+    read_posterior_stack,
     write_labels,
-    write_pairwise,
-    write_posteriors,
+    write_pairwise_stack,
+    write_posterior_stack,
 )
-from plmkit import CouplingConfig, Method, PairwiseLikelihoodMatrix, theta_map
-from plmkit.coupling import couple_stack
-from plmkit.ensemble import _pair_rng, summarize
-from plmkit.fileio import read_pairwise_stack, write_pairwise_stack
 from oracles import random_offmanifold, summary_rows
 
 # child processes import plmkit from wherever this process does
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
+# an exact 0/1 entry: Bayes covariant coupling fails on it without stabilization
+SINGULAR_BC = np.array([[[0.0, 1.0, 0.6], [0.0, 0.0, 0.6], [0.4, 0.4, 0.0]]])
+
 
 @pytest.fixture
 def posterior_file(tmp_path):
     path = tmp_path / "post.csv"
-    write_posteriors(
-        path,
-        [
-            ("a", Posterior([0.2, 0.3, 0.5])),
-            ("b", Posterior([0.1, 0.1, 0.8])),
-            ("c", Posterior([1 / 3, 1 / 3, 1 / 3])),
-        ],
-    )
+    probs = np.array([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8], [1 / 3, 1 / 3, 1 / 3]])
+    write_posterior_stack(path, ["a", "b", "c"], probs)
     return path
 
 
@@ -46,8 +41,8 @@ class TestRestrict:
     def test_values(self, tmp_path, posterior_file):
         out = tmp_path / "pair.csv"
         assert main(["restrict", str(posterior_file), str(out)]) == 0
-        matrices = dict(read_pairwise(out))
-        m = matrices["a"].entries
+        matrices = dict(zip(*read_pairwise_stack(out)))
+        m = matrices["a"]
         assert m[0, 1] == pytest.approx(0.4)
         assert m[0, 2] == pytest.approx(0.2 / 0.7)
         assert m[1, 2] == pytest.approx(0.375)
@@ -76,37 +71,35 @@ class TestCouple:
         back = tmp_path / "back.csv"
         assert main(["restrict", str(posterior_file), str(pair)]) == 0
         assert main(["couple", str(pair), str(back), "--method", method]) == 0
-        original = dict(read_posteriors(posterior_file))
-        for sid, p in read_posteriors(back):
-            np.testing.assert_allclose(p.probs, original[sid].probs, atol=1e-7)
+        original = dict(zip(*read_posterior_stack(posterior_file)))
+        for sid, p in zip(*read_posterior_stack(back)):
+            np.testing.assert_allclose(p, original[sid], atol=1e-7)
 
     def test_bc_singular_without_stabilization(self, tmp_path):
         pair = tmp_path / "pair.csv"
-        m = PairwiseLikelihoodMatrix([[0.0, 1.0, 0.6], [0.0, 0.0, 0.6], [0.4, 0.4, 0.0]])
-        write_pairwise(pair, [("a", m)])
+        write_pairwise_stack(pair, ["a"], SINGULAR_BC)
         out = tmp_path / "out.csv"
         assert main(["couple", str(pair), str(out), "--method", "bc", "--strict"]) == 2
-        assert read_posteriors(out) == []
+        ids, probs = read_posterior_stack(out)
+        assert ids == [] and probs.size == 0
         assert "# failed: a:" in out.read_text()
 
     def test_bc_succeeds_with_clip(self, tmp_path):
         pair = tmp_path / "pair.csv"
-        m = PairwiseLikelihoodMatrix([[0.0, 1.0, 0.6], [0.0, 0.0, 0.6], [0.4, 0.4, 0.0]])
-        write_pairwise(pair, [("a", m)])
+        write_pairwise_stack(pair, ["a"], SINGULAR_BC)
         out = tmp_path / "out.csv"
         rc = main(
             ["couple", str(pair), str(out), "--method", "bc",
              "--stabilize", "clip", "--tau", "1e-3", "--strict"]
         )
         assert rc == 0
-        (sid, p), = read_posteriors(out)
-        assert sid == "a"
-        assert p.probs.sum() == pytest.approx(1.0)
+        ids, probs = read_posterior_stack(out)
+        assert ids == ["a"]
+        assert probs[0].sum() == pytest.approx(1.0)
 
     def test_nonstrict_failure_exits_zero(self, tmp_path):
         pair = tmp_path / "pair.csv"
-        m = PairwiseLikelihoodMatrix([[0.0, 1.0, 0.6], [0.0, 0.0, 0.6], [0.4, 0.4, 0.0]])
-        write_pairwise(pair, [("a", m)])
+        write_pairwise_stack(pair, ["a"], SINGULAR_BC)
         assert main(["couple", str(pair), str(tmp_path / "o.csv"), "--method", "bc"]) == 0
 
 
@@ -253,20 +246,19 @@ class TestReaders:
 
 class TestBootstrap:
     def _write_sources(self, tmp_path):
-        p1 = Posterior([0.2, 0.3, 0.5])
-        p2 = Posterior([0.6, 0.3, 0.1])
+        stack = theta_map_stack(np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]))
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        write_pairwise(a, [("s0", theta_map(p1)), ("s1", theta_map(p2))])
-        write_pairwise(b, [("s0", theta_map(p2)), ("s1", theta_map(p1))])
+        write_pairwise_stack(a, ["s0", "s1"], stack)
+        write_pairwise_stack(b, ["s0", "s1"], stack[::-1])
         return a, b
 
     def test_identical_sources_zero_spread(self, tmp_path):
-        p = Posterior([0.2, 0.3, 0.5])
+        stack = theta_map_stack(np.array([[0.2, 0.3, 0.5]]))
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        write_pairwise(a, [("s0", theta_map(p))])
-        write_pairwise(b, [("s0", theta_map(p))])
+        write_pairwise_stack(a, ["s0"], stack)
+        write_pairwise_stack(b, ["s0"], stack)
         out = tmp_path / "sum.csv"
         assert main(["bootstrap", str(a), str(b), str(out), "--n", "20", "--seed", "1"]) == 0
         for line in out.read_text().splitlines():
@@ -316,19 +308,19 @@ class TestBootstrap:
         assert run.stdout == "False\n" and out.exists()
 
     def test_id_misalignment(self, tmp_path):
-        p = Posterior([0.2, 0.3, 0.5])
+        stack = theta_map_stack(np.array([[0.2, 0.3, 0.5]]))
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        write_pairwise(a, [("s0", theta_map(p))])
-        write_pairwise(b, [("other", theta_map(p))])
+        write_pairwise_stack(a, ["s0"], stack)
+        write_pairwise_stack(b, ["other"], stack)
         assert main(["bootstrap", str(a), str(b), str(tmp_path / "o.csv")]) == 1
 
 
     def test_class_count_mismatch_names_file(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        write_pairwise(a, [("s0", theta_map(Posterior([0.1, 0.2, 0.3, 0.4])))])
-        write_pairwise(b, [("s0", theta_map(Posterior([0.2, 0.3, 0.5])))])
+        write_pairwise_stack(a, ["s0"], theta_map_stack(np.array([[0.1, 0.2, 0.3, 0.4]])))
+        write_pairwise_stack(b, ["s0"], theta_map_stack(np.array([[0.2, 0.3, 0.5]])))
         assert main(["bootstrap", str(a), str(b), str(tmp_path / "o.csv")]) == 1
         assert f"error: {b}: class count c=3 differs from c=4 of {a}" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
@@ -343,8 +335,8 @@ class TestBootstrap:
 
     def test_empty_input_writes_header_only(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_pairwise(a, [])
-        write_pairwise(b, [])
+        write_pairwise_stack(a, [], np.zeros((0, 2, 2)))
+        write_pairwise_stack(b, [], np.zeros((0, 2, 2)))
         out = tmp_path / "o.csv"
         assert main(["bootstrap", str(a), str(b), str(out), "--n", "5"]) == 0
         assert out.read_text().splitlines()[1:] == [
@@ -437,9 +429,9 @@ class TestSynth:
         post = tmp_path / "p.csv"
         labels = tmp_path / "l.csv"
         assert main(["synth", str(post), str(labels), "--c", "4", "--n-per-class", "5"]) == 0
-        posteriors = read_posteriors(post)
-        assert len(posteriors) == 20
-        assert all(p.c == 4 for _, p in posteriors)
+        ids, probs = read_posterior_stack(post)
+        assert len(ids) == 20
+        assert probs.shape == (20, 4)
 
     def test_features_file(self, tmp_path):
         post, labels, feats = (tmp_path / name for name in ("p.csv", "l.csv", "f.csv"))
@@ -448,7 +440,7 @@ class TestSynth:
         lines = feats.read_text().splitlines()
         assert lines[:2] == ["# plm-v1", "sample_id,x_0,x_1"]
         rows = list(csv.reader(lines[2:]))
-        assert [r[0] for r in rows] == [sid for sid, _ in read_posteriors(post)]
+        assert [r[0] for r in rows] == read_posterior_stack(post)[0]
         assert all(len(r) == 3 and np.isfinite([float(x) for x in r[1:]]).all() for r in rows)
 
 
@@ -493,8 +485,7 @@ class TestEntryPoints:
     def inputs(self, tmp_path, posterior_file):
         (tmp_path / "good.csv").write_bytes(posterior_file.read_bytes())
         (tmp_path / "bad.csv").write_text("sample_id,p_0,p_1\na,0.5,0.6\n")
-        m = PairwiseLikelihoodMatrix([[0.0, 1.0, 0.6], [0.0, 0.0, 0.6], [0.4, 0.4, 0.0]])
-        write_pairwise(tmp_path / "pair.csv", [("a", m)])
+        write_pairwise_stack(tmp_path / "pair.csv", ["a"], SINGULAR_BC)
         return tmp_path
 
     @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from plmkit import (
     Posterior,
     bootstrap_recombine,
     couple,
-    ensemble_summary,
     partial_correct,
     theta_map,
     validate_pairwise,
@@ -148,20 +147,20 @@ class TestEnsembleSummary:
     def test_single_matrix_zero_sd(self):
         rng = np.random.default_rng(6)
         m = PairwiseLikelihoodMatrix(random_offmanifold(rng, 3))
-        s = ensemble_summary([m], CouplingConfig())
+        s = summarize(couple_stack(m.entries[None], CouplingConfig()))
         assert np.all(s.sd == 0.0)
         assert s.n_samples == 1 and s.n_excluded == 0
 
     def test_repeated_matrices_zero_sd(self):
         rng = np.random.default_rng(7)
         m = PairwiseLikelihoodMatrix(random_offmanifold(rng, 3))
-        s = ensemble_summary([m] * 10, CouplingConfig())
+        s = summarize(couple_stack(np.stack([m.entries] * 10), CouplingConfig()))
         assert np.allclose(s.sd, 0.0)
 
     def test_summary_invariants(self):
         rng = np.random.default_rng(9)
-        matrices = [PairwiseLikelihoodMatrix(random_offmanifold(rng, 4)) for _ in range(30)]
-        s = ensemble_summary(matrices, CouplingConfig(method=Method.BAYES_COVARIANT))
+        matrices = np.stack([random_offmanifold(rng, 4) for _ in range(30)])
+        s = summarize(couple_stack(matrices, CouplingConfig(method=Method.BAYES_COVARIANT)))
         assert np.all(np.diff(s.deciles, axis=0) >= -1e-12)
         assert np.all(s.minimum <= s.mean + 1e-12)
         assert np.all(s.mean <= s.maximum + 1e-12)
@@ -185,7 +184,8 @@ class TestEnsembleSummary:
                     m[j, i] = sources[src].entries[j, i]
                 exact += couple(PairwiseLikelihoodMatrix(m), config).probs
             exact /= 8
-            s = ensemble_summary(bootstrap_recombine(sources, 4000, seed=77), config)
+            recombined = recombine_stack(np.stack([m.entries for m in sources])[None], 4000, [77])
+            s = summarize(couple_stack(recombined[0], config))
             np.testing.assert_allclose(s.mean, exact, atol=0.02)
 
     def test_failed_couplings_excluded(self):
@@ -194,7 +194,7 @@ class TestEnsembleSummary:
             [[0.0, 1.0, 0.6], [0.0, 0.0, 0.6], [0.4, 0.4, 0.0]]
         )
         config = CouplingConfig(method=Method.BAYES_COVARIANT)
-        s = ensemble_summary([good, bad, good], config)
+        s = summarize(couple_stack(np.stack([good.entries, bad.entries, good.entries]), config))
         assert s.n_samples == 2 and s.n_excluded == 1
 
 
@@ -217,6 +217,14 @@ class TestStreamChoices:
         for b, seed in enumerate(seeds):
             for k in range(n):
                 expected = _pair_rng(seed, k).integers(0, sources, size=size)
+                assert got[b, k].tobytes() == expected.tobytes()
+
+    def test_range_beyond_32_bits_uses_pair_rng(self):
+        # numpy draws 64-bit words for such a range, which the kernel does not model
+        got = _stream_choices([3, 2**64], 2, 2**33, 5)
+        for b, seed in enumerate([3, 2**64]):
+            for k in range(2):
+                expected = _pair_rng(seed, k).integers(0, 2**33, size=5)
                 assert got[b, k].tobytes() == expected.tobytes()
 
     def test_rejection_falls_back(self, monkeypatch):

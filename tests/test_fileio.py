@@ -7,33 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plmkit import LabeledBatch, Method, PairwiseLikelihoodMatrix, Posterior, fileio
-from plmkit.abstention import SurenessScore
-from plmkit.ensemble import EnsembleSummary
+from plmkit import LabeledBatch, Method, fileio
 from plmkit.fileio import (
     FormatError,
     read_confusion,
     read_distances,
     read_features,
     read_labels,
-    read_pairwise,
     read_pairwise_stack,
     read_patch,
     read_posterior_stack,
-    read_posteriors,
     read_report,
     read_summary_stack,
     write_confusion,
     write_distance_stack,
-    write_distances,
     write_features,
     write_labels,
-    write_pairwise,
     write_pairwise_stack,
     write_posterior_stack,
-    write_posteriors,
     write_report,
-    write_summaries,
     write_summary_stack,
 )
 import oracles
@@ -73,9 +65,6 @@ class TestRoundTrip:
         got_ids, got = read_pairwise_stack(path)
         assert got_ids == ids
         assert got.tobytes() == stack.tobytes()
-        objects = read_pairwise(path)
-        assert [sid for sid, _ in objects] == ids
-        assert np.stack([m.entries for _, m in objects]).tobytes() == stack.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(min_value=2, max_value=12), sample_ids)
@@ -102,9 +91,6 @@ class TestRoundTrip:
         got_ids, got = read_posterior_stack(path)
         assert got_ids == ids
         assert got.tobytes() == probs.tobytes()
-        objects = read_posteriors(path)
-        assert [sid for sid, _ in objects] == ids
-        assert np.stack([p.probs for _, p in objects]).tobytes() == probs.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), sample_ids, st.integers(min_value=1, max_value=12))
@@ -126,9 +112,8 @@ class TestRoundTrip:
         methods = data.draw(
             st.lists(st.sampled_from(list(Method)), min_size=len(ids), max_size=len(ids))
         )
-        scores = [SurenessScore(*row) for row in zip(ids, methods, distances)]
         path = tmp_path_factory.mktemp("rt") / "dist.csv"
-        write_distances(path, scores)
+        write_distance_stack(path, ids, [m.value for m in methods], np.array(distances))
         got = read_distances(path)
         assert [row[:2] for row in got] == [(sid, m.value) for sid, m in zip(ids, methods)]
         assert np.array([d for _, _, d in got]).tobytes() == np.array(distances).tobytes()
@@ -204,8 +189,7 @@ class TestRoundTrip:
     def test_hash_led_ids(self, tmp_path):
         write_labels(tmp_path / "lab.csv", LabeledBatch(samples=(("#a", 0), ("b", 1)), c=2))
         assert read_labels(tmp_path / "lab.csv").samples == (("#a", 0), ("b", 1))
-        scores = [SurenessScore(sid, Method.BAYES_COVARIANT, 0.5) for sid in ("#a", "b")]
-        write_distances(tmp_path / "dist.csv", scores)
+        write_distance_stack(tmp_path / "dist.csv", ["#a", "b"], ["bc", "bc"], np.full(2, 0.5))
         assert [sid for sid, _, _ in read_distances(tmp_path / "dist.csv")] == ["#a", "b"]
         write_features(tmp_path / "feat.csv", [" #a", "b"], np.zeros((2, 1)))
         assert read_features(tmp_path / "feat.csv")[0] == [" #a", "b"]
@@ -460,28 +444,17 @@ def test_integer_float_fallback_is_rejected(tmp_path, monkeypatch):
             read_pairwise_stack(path)
 
 
-def _summary(c, excluded):
-    rng = np.random.default_rng(c)
-    stats = np.sort(rng.random((13, c)), axis=0)
-    return EnsembleSummary(
-        mean=stats[0], sd=stats[1], minimum=stats[2], maximum=stats[12], deciles=stats[3:12],
-        n_samples=5, n_excluded=excluded,
-    )
-
-
 class TestSummaries:
     def test_bulk_writer_matches_row_by_row_format(self, tmp_path):
-        summaries = [("s0", _summary(3, 0)), ('s,"1"', _summary(3, 2)), ("s 2", _summary(3, 0))]
-        write_summaries(tmp_path / "bulk.csv", summaries)
-        rows = [
-            (sid, np.vstack([s.mean, s.sd, s.minimum, s.deciles, s.maximum]), s.n_excluded)
-            for sid, s in summaries
-        ]
-        summary_rows(tmp_path / "ref.csv", rows)
+        ids = ["s0", 's,"1"', "s 2"]
+        stats = np.sort(np.random.default_rng(3).random((13, 3)), axis=0)
+        stats, excluded = np.stack([stats] * 3), np.array([0, 2, 0])
+        write_summary_stack(tmp_path / "bulk.csv", ids, stats, excluded)
+        summary_rows(tmp_path / "ref.csv", zip(ids, stats, excluded))
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_empty(self, tmp_path):
-        write_summaries(tmp_path / "bulk.csv", [])
+        write_summary_stack(tmp_path / "bulk.csv", [], np.zeros((0, 13, 0)), np.zeros(0, np.int64))
         summary_rows(tmp_path / "ref.csv", [])
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -491,23 +464,28 @@ class TestSummaries:
         assert [line.split(",")[0] for line in lines[2:]] == ['"#a"'] * 3
 
 
-_P = Posterior([0.25, 0.75])
-_M = PairwiseLikelihoodMatrix([[0.0, 0.25], [0.75, 0.0]])
+_P = np.array([[0.25, 0.75]])
+_M = np.array([[[0.0, 0.25], [0.75, 0.0]]])
 WRITERS = {
-    "posterior_stack": lambda path, sid: write_posterior_stack(path, [sid], _P.probs[None]),
-    "posteriors": lambda path, sid: write_posteriors(path, [(sid, _P)]),
-    "pairwise_stack": lambda path, sid: write_pairwise_stack(path, [sid], _M.entries[None]),
-    "pairwise": lambda path, sid: write_pairwise(path, [(sid, _M)]),
+    "posterior_stack": lambda path, sid: write_posterior_stack(path, [sid], _P),
+    "pairwise_stack": lambda path, sid: write_pairwise_stack(path, [sid], _M),
     "labels": lambda path, sid: write_labels(path, LabeledBatch(samples=((sid, 0),), c=2)),
-    "distances": lambda path, sid: write_distances(
-        path, [SurenessScore(sid, Method.BAYES_COVARIANT, 0.5)]
-    ),
     "summary_stack": lambda path, sid: write_summary_stack(
         path, [sid], np.full((1, 13, 2), 0.5), np.array([0])
     ),
-    "summaries": lambda path, sid: write_summaries(path, [(sid, _summary(2, 0))]),
     "features": lambda path, sid: write_features(path, [sid], np.zeros((1, 2))),
     "distance_stack": lambda path, sid: write_distance_stack(path, [sid], ["bc"], np.array([0.5])),
+    # the bad sample_id after a good sample, and a posterior file with a comment
+    "posteriors": lambda path, sid: write_posterior_stack(
+        path, ["ok", sid], np.vstack([_P, _P]), failures=[("ok", "boom")]
+    ),
+    "pairwise": lambda path, sid: write_pairwise_stack(path, ["ok", sid], np.vstack([_M, _M])),
+    "distances": lambda path, sid: write_distance_stack(
+        path, ["ok", sid], ["bc", "wlw"], np.array([0.5, 0.25])
+    ),
+    "summaries": lambda path, sid: write_summary_stack(
+        path, ["ok", sid], np.full((2, 13, 2), 0.5), np.array([0, 1])
+    ),
 }
 
 
@@ -518,6 +496,33 @@ def test_line_break_in_sample_id_rejected(tmp_path, writer, sid):
     path = tmp_path / "out.csv"
     with pytest.raises(ValueError, match=re.escape(f"sample_id {sid!r} contains a line break")):
         WRITERS[writer](path, sid)
+    assert not path.exists()
+
+
+COMMENTS = {
+    "failure id": (
+        lambda path: write_posterior_stack(path, ["a"], _P, failures=[("x\ny", "boom")]),
+        "failed: x\ny: boom",
+    ),
+    "failure message": (
+        lambda path: write_posterior_stack(path, ["a"], _P, failures=[("x", "bo\rom")]),
+        "failed: x: bo\rom",
+    ),
+    "ols method": (
+        lambda path: write_report(path, [("p.csv", "bc", 0.5, 0.25)], [("b\nc", 0.5, 0.1)]),
+        "ols b\nc: slope=0.5 intercept=0.10000000000000001",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMENTS))
+def test_line_break_in_comment_rejected(tmp_path, case):
+    """A comment line with a line break would split into a data row that its
+    own reader rejects, so no file is written."""
+    writer, text = COMMENTS[case]
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=re.escape(f"comment {text!r} contains a line break")):
+        writer(path)
     assert not path.exists()
 
 

@@ -1,0 +1,97 @@
+"""Library checks that reject their input and that no other test reaches,
+with the exception type and message of each."""
+
+import numpy as np
+import pytest
+
+from plmkit import (
+    BlobSpec,
+    CouplingConfig,
+    GlmSpec,
+    InvalidDistributionError,
+    LabeledBatch,
+    PairwiseLikelihoodMatrix,
+    Posterior,
+    ShapeError,
+    SingularityError,
+    ThetaMatrix,
+    confusion_matrix,
+    distance_bc,
+    extend_posterior,
+    pairwise_accuracy,
+    perturb_manifold,
+    reconstruct_from_column,
+    stabilize_clip,
+    stabilize_drop,
+    theta_of,
+)
+from plmkit.coupling import couple_stack
+from plmkit.ensemble import recombine_stack, summarize
+from plmkit.fileio import FormatError, read_posterior_stack
+
+# a nonzero diagonal entry and a broken complement
+INVALID = PairwiseLikelihoodMatrix([[0.0, 0.5, 0.5], [0.25, 0.0, 0.5], [0.5, 0.5, 0.1]])
+VALID = PairwiseLikelihoodMatrix([[0.0, 0.5], [0.5, 0.0]])
+
+
+def _one_probability_column(path):
+    path.write_text("# plm-v1\nsample_id,p_0\na,1\n")
+    read_posterior_stack(path)
+
+
+RAISES = [
+    ("matrix with one class", lambda path: PairwiseLikelihoodMatrix([[0.0]]),
+     ShapeError, "pairwise matrix needs at least 2 classes"),
+    ("matrix not finite", lambda path: PairwiseLikelihoodMatrix([[0.0, np.nan], [0.5, 0.0]]),
+     ShapeError, "pairwise matrix contains non-finite entries"),
+    ("theta not finite", lambda path: ThetaMatrix([[0.0, np.inf], [-np.inf, 0.0]]),
+     SingularityError, "theta matrix contains non-finite entries"),
+    ("theta not antisymmetric", lambda path: ThetaMatrix([[0.0, 1.0], [1.0, 0.0]]),
+     ShapeError, "theta matrix is not antisymmetric within tolerance"),
+    ("reconstruct invalid matrix", lambda path: reconstruct_from_column(INVALID, 0),
+     InvalidDistributionError,
+     "diagonal entry (2,2) is 0.1, expected exactly 0; "
+     "complement violation at (0,1): r_ij + r_ji = 0.75, expected 1"),
+    ("theta_of at 0/1", lambda path: theta_of(PairwiseLikelihoodMatrix([[0.0, 1.0], [0.0, 0.0]])),
+     SingularityError, "pairwise entry at 0 or 1: log-odds map diverges (apply clip stabilization)"),
+    # the clip it is measured with zeroes the diagonal and keeps unclipped pairs
+    ("distance_bc invalid matrix", lambda path: distance_bc(INVALID),
+     InvalidDistributionError, "complement violation at (0,1): r_ij + r_ji = 0.75, expected 1"),
+    ("couple_stack 2-D", lambda path: couple_stack(np.full((3, 3), 0.5), CouplingConfig()),
+     ShapeError, "expected an (N, c, c) stack with c >= 2, got shape (3, 3)"),
+    ("stabilize_clip tau", lambda path: stabilize_clip(VALID, 0.7),
+     ValueError, "tau must be in (0, 0.5), got 0.7"),
+    ("stabilize_drop rho", lambda path: stabilize_drop(VALID, 0.7),
+     ValueError, "rho must be in (0, 0.5), got 0.7"),
+    ("extend_posterior length", lambda path: extend_posterior(np.array([0.5, 0.5]), [0], 3),
+     ShapeError, "survivor list does not match reduced posterior length"),
+    ("BlobSpec means", lambda path: BlobSpec(c=2, dim=2, means=np.zeros((3, 2)), scale=1.0,
+                                             n_per_class=1, seed=0),
+     ValueError, "means must have shape (2,2), got (3, 2)"),
+    ("GlmSpec epsilon", lambda path: GlmSpec(epsilon=0.7),
+     ValueError, "epsilon must be in (0, 0.5), got 0.7"),
+    ("perturb_manifold zero entry", lambda path: perturb_manifold(Posterior([0.0, 1.0]), 0.1, 0),
+     SingularityError, "posterior must be strictly positive"),
+    ("recombine_stack one source", lambda path: recombine_stack(np.zeros((1, 1, 2, 2)), 3, [0]),
+     ValueError, "need at least two source matrices"),
+    ("summarize no rows", lambda path: summarize(couple_stack(np.zeros((0, 2, 2)), CouplingConfig())),
+     ValueError, "need at least one matrix"),
+    ("pairwise_accuracy empty", lambda path: pairwise_accuracy([], LabeledBatch(samples=(), c=2)),
+     ValueError, "empty prediction list"),
+    ("confusion_matrix ids", lambda path: confusion_matrix(
+        [("a", 0)], LabeledBatch(samples=(("b", 0),), c=2)),
+     ValueError, "prediction sample_ids do not match label sample_ids"),
+    ("posterior file one column", _one_probability_column,
+     FormatError, "{path}:2: need at least two probability columns"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [case[1:] for case in RAISES], ids=[case[0] for case in RAISES]
+)
+def test_raises(tmp_path, call, error, message):
+    path = tmp_path / "in.csv"
+    with pytest.raises(error) as exc:
+        call(path)
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(path=path)

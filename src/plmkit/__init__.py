@@ -16,8 +16,7 @@ _EXPORTS = {
     "core": (
         "BinaryPrediction", "CouplingConfig", "EmptyResultError", "InvalidDistributionError",
         "LabeledBatch", "Method", "NumericalFailureError", "PairwiseLikelihoodMatrix", "PlmError",
-        "Posterior", "ShapeError", "SingularityError", "Stabilization", "ThetaMatrix",
-        "validate_pairwise",
+        "Posterior", "ShapeError", "SingularityError", "Stabilization", "validate_pairwise",
     ),
     "coupling": (
         "CoupledStack", "couple", "couple_bc", "couple_stack", "couple_wlw", "delta2_value",

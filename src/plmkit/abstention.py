@@ -51,9 +51,14 @@ def _distance(matrix: PairwiseLikelihoodMatrix, config: CouplingConfig) -> Coupl
     return coupled
 
 
+def sureness(matrix: PairwiseLikelihoodMatrix, config: CouplingConfig) -> float:
+    """Distance appropriate to the configured coupling method."""
+    return float(_distance(matrix, config).residual[0])
+
+
 def distance_wlw(matrix: PairwiseLikelihoodMatrix) -> float:
     """Residual objective value at the quadratic coupling's minimizer."""
-    return float(_distance(matrix, CouplingConfig()).residual[0])
+    return sureness(matrix, _measured(Method.WU_LIN_WENG, CouplingConfig.tau))
 
 
 def distance_bc(matrix: PairwiseLikelihoodMatrix, tau: float = 1e-3) -> float:
@@ -62,15 +67,7 @@ def distance_bc(matrix: PairwiseLikelihoodMatrix, tau: float = 1e-3) -> float:
     Entries are clipped into [tau, 1 - tau] first, mirroring how the log-odds
     coupling is run in practice.
     """
-    config = CouplingConfig(method=Method.BAYES_COVARIANT, tau=tau)
-    return float(_distance(matrix, config).residual[0])
-
-
-def sureness(matrix: PairwiseLikelihoodMatrix, config: CouplingConfig) -> float:
-    """Distance appropriate to the configured coupling method."""
-    if config.method is Method.WU_LIN_WENG:
-        return distance_wlw(matrix)
-    return distance_bc(matrix, tau=config.tau)
+    return sureness(matrix, _measured(Method.BAYES_COVARIANT, tau))
 
 
 def calibrate_threshold(in_distribution: list[float], quantile: float) -> float:
@@ -99,8 +96,6 @@ def abstaining_predict(
     if d > threshold:
         return Abstain(distance=d)
     # the distance's own coupling is the answer when it runs the configured one
-    if config.stabilization is (
-        Stabilization.NONE if config.method is Method.WU_LIN_WENG else Stabilization.CLIP
-    ):
+    if config.stabilization is _measured(config.method, config.tau).stabilization:
         return coupled.posterior(0)
     return couple(matrix, config)

@@ -42,26 +42,19 @@ from .fileio import (
 # use them: every process start pays to load (and, without cached bytecode,
 # compile) each module it imports
 
-_METHODS = {"wlw": Method.WU_LIN_WENG, "bc": Method.BAYES_COVARIANT}
-_STABILIZERS = {
-    "none": Stabilization.NONE,
-    "clip": Stabilization.CLIP,
-    "drop": Stabilization.DROP_CLASSES,
-}
-
 
 def _config(args) -> CouplingConfig:
     return CouplingConfig(
-        method=_METHODS[args.method],
-        stabilization=_STABILIZERS[args.stabilize],
+        method=Method(args.method),
+        stabilization=Stabilization(args.stabilize),
         tau=args.tau,
         rho=args.rho,
     )
 
 
-def _add_coupling_flags(sub, default_stabilize="none"):
-    sub.add_argument("--method", choices=sorted(_METHODS), default="wlw")
-    sub.add_argument("--stabilize", choices=sorted(_STABILIZERS), default=default_stabilize)
+def _add_coupling_flags(sub):
+    sub.add_argument("--method", choices=sorted(m.value for m in Method), default="wlw")
+    sub.add_argument("--stabilize", choices=sorted(s.value for s in Stabilization), default="none")
     sub.add_argument("--tau", type=float, default=1e-3)
     sub.add_argument("--rho", type=float, default=1e-3)
 
@@ -96,7 +89,7 @@ def cmd_correct(args) -> int:
     truth = labels.labels_by_id()
     rows = []
     for patch_path in args.patch:
-        triples = read_patch(patch_path)
+        triples = read_patch(patch_path, c=probs.shape[1])
         patched = correct_stack(probs, CorrectionPatch(pairs=tuple(triples)))
         # the patch's own accuracy on its pairs; a sample without a label is
         # rejected by accuracy() below
@@ -108,15 +101,15 @@ def cmd_correct(args) -> int:
                 hits = sum(1 for sid in pair_samples if truth[sid] == predicted)
                 pair_accs.append(hits / len(pair_samples))
         pair_acc = sum(pair_accs) / len(pair_accs) if pair_accs else float("nan")
-        for mname, method in sorted(_METHODS.items()):
-            coupled = couple_stack(patched, CouplingConfig(method=method))
+        for mname in sorted(m.value for m in Method):
+            coupled = couple_stack(patched, CouplingConfig(method=Method(mname)))
             coupled.raise_first()
             winners = np.argmax(coupled.probs, axis=1).tolist()
             multi_acc = accuracy(list(zip(ids, winners)), labels)
             rows.append((patch_path, mname, pair_acc, multi_acc))
     fits = []
     if args.ols:
-        for mname in sorted(_METHODS):
+        for mname in sorted(m.value for m in Method):
             pts = [(pa, ma) for _, m, pa, ma in rows if m == mname and np.isfinite(pa)]
             x, y = np.array(pts).reshape(-1, 2).T
             # a line through fewer than two distinct x values is undefined;
@@ -154,7 +147,7 @@ def cmd_bootstrap(args) -> int:
         row = {sid: k for k, sid in enumerate(file_ids)}
         aligned.append(stack[[row[sid] for sid in ids]])
     sources = np.stack(aligned, axis=1)  # (N, files, c, c)
-    config = CouplingConfig(method=_METHODS[args.method])
+    config = CouplingConfig(method=Method(args.method))
     c = sources.shape[-1]
     # per sample: mean, sd, min, nine deciles and max of each class; rows excluded
     stats, excluded = np.zeros((len(ids), 13, c)), np.zeros(len(ids), dtype=np.int64)
@@ -178,7 +171,7 @@ def cmd_distance(args) -> int:
     from .abstention import sureness_stack
 
     ids, stack = read_pairwise_stack(args.input)
-    method = _METHODS[args.method]
+    method = Method(args.method)
     coupled = sureness_stack(stack, CouplingConfig(method=method, tau=args.tau))
     coupled.raise_first()
     write_distance_stack(args.output, ids, [method.value] * len(ids), coupled.residual)
@@ -280,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample s draws from the streams of seed + s, so runs whose seeds "
         "differ by d share the streams of all but d samples",
     )
-    s.add_argument("--method", choices=sorted(_METHODS), default="wlw")
+    s.add_argument("--method", choices=sorted(m.value for m in Method), default="wlw")
     s.set_defaults(func=cmd_bootstrap)
 
     s = sub.add_parser("distance", help="manifold distances for a pairwise file")
     s.add_argument("input")
     s.add_argument("output")
-    s.add_argument("--method", choices=sorted(_METHODS), default="bc")
+    s.add_argument("--method", choices=sorted(m.value for m in Method), default="bc")
     s.add_argument("--tau", type=float, default=1e-3)
     s.set_defaults(func=cmd_distance)
 

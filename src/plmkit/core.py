@@ -107,30 +107,6 @@ class PairwiseLikelihoodMatrix:
         return hash(self.entries.tobytes())
 
 
-@dataclass(frozen=True)
-class ThetaMatrix:
-    """Log-odds reparametrization of a pairwise likelihood matrix.
-
-    Off-diagonal entries are antisymmetric; the diagonal is zero.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
-        m = self.entries
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-            raise ShapeError(f"theta matrix must be square with c >= 2, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise SingularityError("theta matrix contains non-finite entries")
-        if np.max(np.abs(m + m.T)) > SYM_TOL:
-            raise ShapeError("theta matrix is not antisymmetric within tolerance")
-
-    @property
-    def c(self) -> int:
-        return self.entries.shape[0]
-
-
 class Method(enum.Enum):
     WU_LIN_WENG = "wlw"
     BAYES_COVARIANT = "bc"

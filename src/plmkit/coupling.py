@@ -30,8 +30,9 @@ from .core import (
     ShapeError,
     SingularityError,
     Stabilization,
-    ThetaMatrix,
+    _read_only,
     diag_index,
+    from_upper,
     off_diagonal,
     pairwise_violations,
     require_valid_pairwise,
@@ -59,10 +60,8 @@ def theta_map_stack(probs: np.ndarray) -> np.ndarray:
     """Pairwise likelihood matrices of an (N, c) stack of strictly positive posteriors."""
     if np.any(probs == 0.0):
         raise SingularityError("posterior has a zero entry; pairwise map is not injective there")
-    r = probs[:, :, None] / (probs[:, :, None] + probs[:, None, :])
-    d = diag_index(probs.shape[1])
-    r[:, d, d] = 0.0
-    return r
+    rows, cols = triu_index(probs.shape[1])
+    return from_upper(probs[:, rows] / (probs[:, rows] + probs[:, cols]), probs.shape[1])
 
 
 def theta_map(p: Posterior) -> PairwiseLikelihoodMatrix:
@@ -188,11 +187,14 @@ def _log_odds(stack: np.ndarray) -> np.ndarray:
     return 0.5 * (th - np.swapaxes(th, 1, 2))
 
 
-def theta_of(matrix: PairwiseLikelihoodMatrix) -> ThetaMatrix:
-    """Map each off-diagonal entry through the log-odds reparametrization."""
+def theta_of(matrix: PairwiseLikelihoodMatrix) -> np.ndarray:
+    """Map each off-diagonal entry through the log-odds reparametrization.
+
+    The result is a read-only (c, c) array, antisymmetric with a zero diagonal.
+    """
     if _singular_rows(matrix.entries[None])[0]:
         raise SingularityError(_SINGULAR)
-    return ThetaMatrix(_log_odds(matrix.entries[None])[0])
+    return _read_only(_log_odds(matrix.entries[None])[0])
 
 
 def _bc_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +264,6 @@ def _couple_dropped(
     masks, group, counts = np.unique(
         _survivors(stack, config.rho), axis=0, return_inverse=True, return_counts=True
     )
-    if masks.all():  # nothing dropped
-        return _couple_method(stack, config.method, errors)
     probs, residual = np.zeros((n, c)), np.zeros(n)
     groups = np.split(np.argsort(group.ravel(), kind="stable"), np.cumsum(counts)[:-1])
     for keep, rows in zip(masks, groups):
@@ -385,12 +385,11 @@ def stabilize_drop(
     return PairwiseLikelihoodMatrix(matrix.entries[np.ix_(survivors, survivors)]), survivors
 
 
-def extend_posterior(reduced: Posterior | np.ndarray, survivors: list[int], c: int) -> Posterior:
+def extend_posterior(reduced: Posterior, survivors: list[int], c: int) -> Posterior:
     """Re-embed a posterior over surviving classes into all ``c`` classes,
     assigning zero to dropped classes."""
-    probs = reduced.probs if isinstance(reduced, Posterior) else np.asarray(reduced, dtype=float)
-    if len(survivors) != probs.size:
+    if len(survivors) != reduced.c:
         raise ShapeError("survivor list does not match reduced posterior length")
     full = np.zeros(c)
-    full[survivors] = probs
+    full[survivors] = reduced.probs
     return Posterior(full)

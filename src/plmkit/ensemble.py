@@ -272,8 +272,6 @@ def summarize_stack(probs: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, 
 def summarize(coupled: CoupledStack) -> EnsembleSummary:
     """Aggregate per-class statistics over the rows of a coupled stack
     (the N=1 case of :func:`summarize_stack`)."""
-    if not coupled.errors:
-        raise ValueError("need at least one matrix")
     failed = np.array([e is not None for e in coupled.errors])
     stats, excluded = summarize_stack(coupled.probs[None], failed[None])
     mean, sd, minimum, *deciles, maximum = stats[0]

@@ -367,26 +367,31 @@ def write_labels(path, batch: LabeledBatch) -> None:
 
 
 def read_labels(path, c: int | None = None) -> LabeledBatch:
-    """The samples of a label file; ``c`` defaults to the largest label plus one."""
+    """The samples of a label file: unique sample_ids, labels in [0, c), where
+    ``c`` defaults to the largest label plus one."""
     table = _read_table(path, "sample_id,label", _LABEL_DTYPE)
-    table.check()
-    labels = table.records["label"].tolist()
+    ids, labels = table.records["sample_id"].tolist(), table.records["label"]
     if c is None:
-        c = max(labels) + 1 if labels else 2
-    try:
-        return LabeledBatch(samples=tuple(zip(table.records["sample_id"].tolist(), labels)), c=c)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        c = int(labels.max()) + 1 if labels.size else 2
+    why = "label {} for sample {!r} outside [0, {})".format
+    table.check(
+        (_repeated_ids(ids), lambda k: f"duplicate sample_id {ids[k]!r}"),
+        ((labels < 0) | (labels >= c), lambda k: why(labels[k], ids[k], c)),
+    )
+    return LabeledBatch(samples=tuple(zip(ids, labels.tolist())), c=c)
 
 
 # -- patch files: i,j,prob_i -------------------------------------------------
 
-def read_patch(path) -> list[tuple[int, int, float]]:
-    """(i, j, prob_i) per row: distinct pairs 0 <= i < j, probabilities in [0, 1]."""
+def read_patch(path, c: int | None = None) -> list[tuple[int, int, float]]:
+    """(i, j, prob_i) per row: distinct pairs 0 <= i < j, below ``c`` if it is
+    given, and probabilities in [0, 1]."""
     table = _read_table(path, "i,j,prob_i", np.dtype([("i", "i8"), ("j", "i8"), ("prob_i", float)]))
     i, j, q = table.records["i"], table.records["j"], table.records["prob_i"]
     table.check(
         _pair_check(i, j),
+        (j >= (np.inf if c is None else c),
+         lambda k: f"patch pair ({i[k]},{j[k]}) references class >= c={c}"),
         (~((q >= 0.0) & (q <= 1.0)), lambda k: f"prob_i = {float(q[k])} outside [0, 1]"),
         (_repeated(i, j), lambda k: f"duplicate pair ({i[k]},{j[k]})"),
     )

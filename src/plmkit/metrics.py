@@ -49,6 +49,9 @@ def confusion_matrix(predictions: list[tuple[str, int]], labels: LabeledBatch) -
     truth = labels.labels_by_id()
     if {sid for sid, _ in predictions} != set(truth):
         raise ValueError("prediction sample_ids do not match label sample_ids")
+    for sid, pred in predictions:
+        if not 0 <= pred < labels.c:
+            raise ValueError(f"prediction {pred} for sample {sid!r} outside [0, {labels.c})")
     counts = np.zeros((labels.c, labels.c), dtype=np.int64)
     for sid, pred in predictions:
         counts[truth[sid], pred] += 1

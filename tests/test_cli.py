@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plmkit import CouplingConfig, LabeledBatch, Method, cli
+from plmkit import CouplingConfig, LabeledBatch, Method, NumericalFailureError, cli
 from plmkit.cli import main
 from plmkit.coupling import couple_stack, theta_map_stack
 from plmkit.ensemble import _pair_rng, summarize
@@ -140,13 +140,15 @@ class TestCorrect:
         labels = tmp_path / "labels.csv"
         write_labels(labels, LabeledBatch(samples=(("a", 2), ("b", 2), ("c", 0)), c=3))
         patch = tmp_path / "patch.csv"
-        patch.write_text("i,j,prob_i\n0,9,0.5\n")
+        patch.write_text("i,j,prob_i\n0,1,0.5\n\n0,9,0.5\n")
         rc = main(
             ["correct", str(posterior_file), str(labels), str(tmp_path / "r.csv"),
              "--patch", str(patch)]
         )
         assert rc == 1
         assert not (tmp_path / "r.csv").exists()
+        err = capsys.readouterr().err
+        assert err == f"error: {patch}:4: patch pair (0,9) references class >= c=3\n"
 
     def test_missing_labels(self, tmp_path, posterior_file):
         labels = tmp_path / "labels.csv"
@@ -414,6 +416,26 @@ class TestEvaluate:
         body = [l for l in conf.read_text().splitlines() if not l.startswith("#")]
         assert body[0] == "true\\pred,0,1,2"
 
+    def test_worst_confused_pair(self, tmp_path, posterior_file, capsys):
+        # predictions are 2, 2 and 0; the errors are (0,2) twice and (2,0) once
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, LabeledBatch(samples=(("a", 0), ("b", 0), ("c", 2)), c=3))
+        assert main(["evaluate", str(posterior_file), str(labels), str(tmp_path / "conf.csv")]) == 0
+        assert capsys.readouterr().out == "accuracy: 0\nworst_confused_pair: (0,2) errors=3\n"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("a,2\n# x\nb,5\nc,0\n", "4: label 5 for sample 'b' outside [0, 3)"),
+            ("a,2\nb,2\n\na,0\nc,0\n", "5: duplicate sample_id 'a'"),
+        ],
+    )
+    def test_label_errors_name_the_line(self, tmp_path, posterior_file, capsys, rows, message):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("sample_id,label\n" + rows)
+        assert main(["evaluate", str(posterior_file), str(labels), str(tmp_path / "conf.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {labels}:{message}\n"
+
 
 class TestSynth:
     def test_deterministic_files(self, tmp_path):
@@ -476,6 +498,15 @@ class TestCommandImports:
 
 
 class TestEntryPoints:
+    def test_library_failure_exits_2(self, tmp_path, posterior_file, monkeypatch, capsys):
+        # any PlmError that is not a FormatError is a numerical failure
+        def fail(args):
+            raise NumericalFailureError("solver diverged")
+
+        monkeypatch.setattr(cli, "cmd_restrict", fail)
+        assert main(["restrict", str(posterior_file), str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == "numerical failure: solver diverged\n"
+
     def test_main_does_not_freeze(self, tmp_path, posterior_file):
         before = gc.get_freeze_count()
         assert main(["restrict", str(posterior_file), str(tmp_path / "pair.csv")]) == 0

@@ -11,7 +11,6 @@ from plmkit import (
     PairwiseLikelihoodMatrix,
     Posterior,
     ShapeError,
-    ThetaMatrix,
     validate_pairwise,
 )
 from plmkit.core import (
@@ -54,6 +53,12 @@ class TestPosterior:
         p = Posterior([0.5, 0.5])
         with pytest.raises(ValueError):
             p.probs[0] = 0.9
+
+    def test_equal_values_hash_equal(self):
+        p, q = Posterior([0.25, 0.75]), Posterior(np.array([0.25, 0.75]))
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert p != Posterior([0.75, 0.25])
+        assert p != p.probs
 
 
 class TestValidatePairwise:
@@ -100,6 +105,13 @@ class TestValidatePairwise:
     def test_nonsquare_is_structural(self):
         with pytest.raises(ShapeError):
             PairwiseLikelihoodMatrix([[0.0, 0.4, 0.2], [0.6, 0.0, 0.7]])
+
+    def test_equal_values_hash_equal(self):
+        m = PairwiseLikelihoodMatrix([[0.0, 0.4], [0.6, 0.0]])
+        same = PairwiseLikelihoodMatrix(np.array([[0.0, 0.4], [0.6, 0.0]]))
+        assert m == same and hash(m) == hash(same) and len({m, same}) == 1
+        assert m != PairwiseLikelihoodMatrix([[0.0, 0.6], [0.4, 0.0]])
+        assert m != Posterior([0.4, 0.6]) and m != m.entries
 
     def test_never_mutates(self):
         arr = [[0.0, 0.4], [0.7, 0.0]]
@@ -204,15 +216,6 @@ class TestTriangle:
         assert m.shape == (2, 3, 3)
         assert np.array_equal(m[1], [[0.0, 1.0, 0.0], [0.0, 0.0, 5e-324], [1.0, 1.0, 0.0]])
         assert np.all(m + np.swapaxes(m, 1, 2) == 1.0 - np.eye(3))
-
-
-class TestThetaMatrix:
-    def test_antisymmetric_ok(self):
-        ThetaMatrix([[0.0, 1.2], [-1.2, 0.0]])
-
-    def test_rejects_nonantisymmetric(self):
-        with pytest.raises(ShapeError):
-            ThetaMatrix([[0.0, 1.2], [-1.1, 0.0]])
 
 
 class TestCouplingConfig:

@@ -337,8 +337,10 @@ class TestProperties:
         rng = np.random.default_rng(23)
         for _ in range(20):
             m = PairwiseLikelihoodMatrix(random_offmanifold(rng, 5))
-            th = theta_of(m).entries
-            assert np.max(np.abs(th + th.T)) <= 1e-9
+            th = theta_of(m)
+            assert th.shape == (5, 5) and not th.flags.writeable
+            assert np.all(np.isfinite(th))
+            assert np.array_equal(th, -th.T) and not np.diag(th).any()
 
     def test_column_agreement_iff_on_manifold(self):
         rng = np.random.default_rng(29)

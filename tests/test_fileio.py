@@ -321,11 +321,13 @@ MALFORMED = [
     ("labels quoted long row", read_labels, PRE + LAB + '"a,b",0\n"c,d",1,"e"\n',
      "{path}:5: expected 2 fields, got 3"),
     ("labels duplicate sample_id", read_labels, PRE + LAB + "a,0\nb,1\n\na,1\n",
-     "{path}: sample_ids must be unique"),
+     "{path}:7: duplicate sample_id 'a'"),
     ("labels negative", read_labels, PRE + LAB + "a,0\nb,-1\n",
-     "{path}: label -1 for sample 'b' outside [0, 1)"),
+     "{path}:5: label -1 for sample 'b' outside [0, 1)"),
     ("labels out of range", functools.partial(read_labels, c=3), PRE + LAB + "a,0\nb,5\n",
-     "{path}: label 5 for sample 'b' outside [0, 3)"),
+     "{path}:5: label 5 for sample 'b' outside [0, 3)"),
+    ("labels out of range before a repeat", functools.partial(read_labels, c=2),
+     PRE + LAB + "a,0\n# x\nb,2\na,1\n", "{path}:6: label 2 for sample 'b' outside [0, 2)"),
     ("patch wrong header", read_patch, PRE + "i,j,prob\n", "{path}:3: expected header i,j,prob_i"),
     ("patch short row", read_patch, PRE + PATCH + "0,1,0.5\n\n0,2\n",
      "{path}:6: expected 3 fields, got 2"),
@@ -353,6 +355,8 @@ MALFORMED = [
     ("patch prob_i above 1", read_patch, PRE + PATCH + "0,1,1.5\n", "{path}:4: prob_i = 1.5 outside [0, 1]"),
     ("patch duplicate pair", read_patch, PRE + PATCH + "0,1,0.5\n0,2,0.5\n# x\n0,1,0.25\n",
      "{path}:7: duplicate pair (0,1)"),
+    ("patch class beyond c", functools.partial(read_patch, c=3), PRE + PATCH + "0,1,0.5\n\n0,5,0.5\n",
+     "{path}:6: patch pair (0,5) references class >= c=3"),
     ("summary wrong header", read_summary_stack, PRE + "sample_id,class,mean\n",
      "{path}:3: expected header " + ",".join(fileio.SUMMARY_HEADER)),
     ("summary short row", read_summary_stack, PRE + SUM + "a,0,0.5\n", "{path}:4: expected 15 fields, got 3"),

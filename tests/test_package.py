@@ -29,7 +29,7 @@ EXPORTS = [
     "Abstain", "BinaryPrediction", "BlobSpec", "CorrectionPatch", "CoupledStack", "CouplingConfig",
     "EmptyResultError", "EnsembleSummary", "FittedGlm", "GlmSpec", "InvalidDistributionError",
     "LabeledBatch", "Link", "Method", "NumericalFailureError", "PairwiseLikelihoodMatrix",
-    "PlmError", "Posterior", "ShapeError", "SingularityError", "Stabilization", "ThetaMatrix",
+    "PlmError", "Posterior", "ShapeError", "SingularityError", "Stabilization",
     "abstaining_predict", "accuracy", "argmax_predict", "bayes_posterior_blobs",
     "bootstrap_recombine", "calibrate_threshold", "confusion_matrix", "couple", "couple_bc",
     "couple_stack", "couple_wlw", "delta2_value", "distance_bc", "distance_wlw",

@@ -14,7 +14,6 @@ from plmkit import (
     Posterior,
     ShapeError,
     SingularityError,
-    ThetaMatrix,
     confusion_matrix,
     distance_bc,
     extend_posterior,
@@ -44,10 +43,6 @@ RAISES = [
      ShapeError, "pairwise matrix needs at least 2 classes"),
     ("matrix not finite", lambda path: PairwiseLikelihoodMatrix([[0.0, np.nan], [0.5, 0.0]]),
      ShapeError, "pairwise matrix contains non-finite entries"),
-    ("theta not finite", lambda path: ThetaMatrix([[0.0, np.inf], [-np.inf, 0.0]]),
-     SingularityError, "theta matrix contains non-finite entries"),
-    ("theta not antisymmetric", lambda path: ThetaMatrix([[0.0, 1.0], [1.0, 0.0]]),
-     ShapeError, "theta matrix is not antisymmetric within tolerance"),
     ("reconstruct invalid matrix", lambda path: reconstruct_from_column(INVALID, 0),
      InvalidDistributionError,
      "diagonal entry (2,2) is 0.1, expected exactly 0; "
@@ -63,7 +58,7 @@ RAISES = [
      ValueError, "tau must be in (0, 0.5), got 0.7"),
     ("stabilize_drop rho", lambda path: stabilize_drop(VALID, 0.7),
      ValueError, "rho must be in (0, 0.5), got 0.7"),
-    ("extend_posterior length", lambda path: extend_posterior(np.array([0.5, 0.5]), [0], 3),
+    ("extend_posterior length", lambda path: extend_posterior(Posterior([0.5, 0.5]), [0], 3),
      ShapeError, "survivor list does not match reduced posterior length"),
     ("BlobSpec means", lambda path: BlobSpec(c=2, dim=2, means=np.zeros((3, 2)), scale=1.0,
                                              n_per_class=1, seed=0),
@@ -81,6 +76,13 @@ RAISES = [
     ("confusion_matrix ids", lambda path: confusion_matrix(
         [("a", 0)], LabeledBatch(samples=(("b", 0),), c=2)),
      ValueError, "prediction sample_ids do not match label sample_ids"),
+    # checked before counting: -1 would count as class c-1, and c would index past the end
+    ("confusion_matrix negative prediction", lambda path: confusion_matrix(
+        [("a", 0), ("b", -1)], LabeledBatch(samples=(("a", 0), ("b", 1)), c=2)),
+     ValueError, "prediction -1 for sample 'b' outside [0, 2)"),
+    ("confusion_matrix prediction >= c", lambda path: confusion_matrix(
+        [("a", 2), ("b", 5)], LabeledBatch(samples=(("a", 0), ("b", 1)), c=2)),
+     ValueError, "prediction 2 for sample 'a' outside [0, 2)"),
     ("posterior file one column", _one_probability_column,
      FormatError, "{path}:2: need at least two probability columns"),
 ]  # fmt: skip

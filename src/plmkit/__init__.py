@@ -20,14 +20,14 @@ _EXPORTS = {
     ),
     "coupling": (
         "CoupledStack", "couple", "couple_bc", "couple_stack", "couple_wlw", "delta2_value",
-        "extend_posterior", "iia_restrict", "reconstruct_from_column", "stabilize_clip",
-        "stabilize_drop", "theta_map", "theta_of",
+        "iia_restrict", "reconstruct_from_column", "stabilize_clip", "stabilize_drop", "theta_map",
+        "theta_of",
     ),
     "abstention": (
         "Abstain", "abstaining_predict", "calibrate_threshold", "distance_bc", "distance_wlw",
         "sureness", "sureness_stack",
     ),
-    "ensemble": ("CorrectionPatch", "EnsembleSummary", "bootstrap_recombine", "partial_correct"),
+    "ensemble": ("CorrectionPatch", "bootstrap_recombine", "partial_correct"),
     "metrics": (
         "accuracy", "argmax_predict", "confusion_matrix", "pairwise_accuracy",
         "worst_confused_pair",

@@ -61,7 +61,7 @@ def distance_wlw(matrix: PairwiseLikelihoodMatrix) -> float:
     return sureness(matrix, _measured(Method.WU_LIN_WENG, CouplingConfig.tau))
 
 
-def distance_bc(matrix: PairwiseLikelihoodMatrix, tau: float = 1e-3) -> float:
+def distance_bc(matrix: PairwiseLikelihoodMatrix, tau: float = CouplingConfig.tau) -> float:
     """Norm of the log-odds residual after projecting onto the additive subspace.
 
     Entries are clipped into [tau, 1 - tau] first, mirroring how the log-odds

@@ -42,6 +42,8 @@ from .fileio import (
 # use them: every process start pays to load (and, without cached bytecode,
 # compile) each module it imports
 
+_METHODS = sorted(m.value for m in Method)
+
 
 def _config(args) -> CouplingConfig:
     return CouplingConfig(
@@ -53,10 +55,10 @@ def _config(args) -> CouplingConfig:
 
 
 def _add_coupling_flags(sub):
-    sub.add_argument("--method", choices=sorted(m.value for m in Method), default="wlw")
+    sub.add_argument("--method", choices=_METHODS, default="wlw")
     sub.add_argument("--stabilize", choices=sorted(s.value for s in Stabilization), default="none")
-    sub.add_argument("--tau", type=float, default=1e-3)
-    sub.add_argument("--rho", type=float, default=1e-3)
+    sub.add_argument("--tau", type=float, default=CouplingConfig.tau)
+    sub.add_argument("--rho", type=float, default=CouplingConfig.rho)
 
 
 def cmd_restrict(args) -> int:
@@ -101,7 +103,7 @@ def cmd_correct(args) -> int:
                 hits = sum(1 for sid in pair_samples if truth[sid] == predicted)
                 pair_accs.append(hits / len(pair_samples))
         pair_acc = sum(pair_accs) / len(pair_accs) if pair_accs else float("nan")
-        for mname in sorted(m.value for m in Method):
+        for mname in _METHODS:
             coupled = couple_stack(patched, CouplingConfig(method=Method(mname)))
             coupled.raise_first()
             winners = np.argmax(coupled.probs, axis=1).tolist()
@@ -109,7 +111,7 @@ def cmd_correct(args) -> int:
             rows.append((patch_path, mname, pair_acc, multi_acc))
     fits = []
     if args.ols:
-        for mname in sorted(m.value for m in Method):
+        for mname in _METHODS:
             pts = [(pa, ma) for _, m, pa, ma in rows if m == mname and np.isfinite(pa)]
             x, y = np.array(pts).reshape(-1, 2).T
             # a line through fewer than two distinct x values is undefined;
@@ -132,6 +134,8 @@ def cmd_bootstrap(args) -> int:
 
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     parsed = {path: read_pairwise_stack(path) for path in dict.fromkeys(args.inputs)}
     files = [parsed[path] for path in args.inputs]
     ids, first = files[0]
@@ -210,14 +214,12 @@ def cmd_evaluate(args) -> int:
 def cmd_synth(args) -> int:
     from .datagen import BlobSpec, bayes_posterior_stack, generate_blobs
 
-    if args.dim is None:
-        args.dim = args.c
-    means = np.zeros((args.c, args.dim))
-    for k in range(args.c):
-        means[k, k % args.dim] += args.separation
+    dim = args.c if args.dim is None else args.dim
+    # class k's mean is `separation` along axis k mod dim; BlobSpec rejects a bad c or dim
+    means = [[args.separation if k % dim == d else 0.0 for d in range(dim)] for k in range(args.c)]
     spec = BlobSpec(
         c=args.c,
-        dim=args.dim,
+        dim=dim,
         means=means,
         scale=args.scale,
         n_per_class=args.n_per_class,
@@ -273,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample s draws from the streams of seed + s, so runs whose seeds "
         "differ by d share the streams of all but d samples",
     )
-    s.add_argument("--method", choices=sorted(m.value for m in Method), default="wlw")
+    s.add_argument("--method", choices=_METHODS, default="wlw")
     s.set_defaults(func=cmd_bootstrap)
 
     s = sub.add_parser("distance", help="manifold distances for a pairwise file")
     s.add_argument("input")
     s.add_argument("output")
-    s.add_argument("--method", choices=sorted(m.value for m in Method), default="bc")
-    s.add_argument("--tau", type=float, default=1e-3)
+    s.add_argument("--method", choices=_METHODS, default="bc")
+    s.add_argument("--tau", type=float, default=CouplingConfig.tau)
     s.set_defaults(func=cmd_distance)
 
     s = sub.add_parser("calibrate", help="quantile threshold from a distance file")

@@ -379,17 +379,7 @@ def stabilize_drop(
     if not survivors:
         raise EmptyResultError(_ALL_DROPPED)
     if len(survivors) == 1:
-        # degenerate: a 1x1 matrix cannot be represented; callers couple this
-        # as the trivial one-class distribution and re-embed with zeros
+        # degenerate: a 1x1 matrix cannot be represented; couple() with class
+        # dropping gives this class all the mass and the dropped ones zero
         return None, survivors
     return PairwiseLikelihoodMatrix(matrix.entries[np.ix_(survivors, survivors)]), survivors
-
-
-def extend_posterior(reduced: Posterior, survivors: list[int], c: int) -> Posterior:
-    """Re-embed a posterior over surviving classes into all ``c`` classes,
-    assigning zero to dropped classes."""
-    if len(survivors) != reduced.c:
-        raise ShapeError("survivor list does not match reduced posterior length")
-    full = np.zeros(c)
-    full[survivors] = reduced.probs
-    return Posterior(full)

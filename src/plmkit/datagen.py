@@ -18,7 +18,6 @@ from .core import (
     Posterior,
     SingularityError,
     from_upper,
-    off_diagonal,
     triu_index,
 )
 from .coupling import theta_map
@@ -41,6 +40,10 @@ class BlobSpec:
     seed: int
 
     def __post_init__(self):
+        if self.c < 2:
+            raise ValueError(f"c must be >= 2, got {self.c}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         means = np.array(self.means, dtype=float)
         means.setflags(write=False)
         object.__setattr__(self, "means", means)
@@ -163,22 +166,17 @@ def train_binary_glm(
 def perturb_manifold(p: Posterior, noise_scale: float, seed: int) -> PairwiseLikelihoodMatrix:
     """Add Gaussian noise to the log-odds coordinates of p's pairwise matrix.
 
-    The noise acts on the upper triangle and is antisymmetrized, so the
-    result maps back to a valid matrix for any finite scale; a scale of zero
-    reproduces the matrix exactly.
+    The noise acts on each upper-triangle entry's log-odds and the lower
+    triangle holds the complements, so the result is a valid matrix for any
+    finite scale; a scale of zero reproduces the matrix exactly.
     """
     if np.any(p.probs == 0.0):
         raise SingularityError("posterior must be strictly positive")
+    base = theta_map(p)
     if noise_scale == 0.0:
-        return theta_map(p)
-    base = theta_map(p).entries
-    c = p.c
-    theta = np.where(off_diagonal(c), np.log(1.0 / np.maximum(base, 1e-300) - 1.0), 0.0)
+        return base
+    iu = triu_index(p.c)
+    theta = np.log(1.0 / np.maximum(base.entries[iu], 1e-300) - 1.0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    iu = triu_index(c)
-    noise = np.zeros((c, c))
-    noise[iu] = noise_scale * rng.standard_normal(iu[0].size)
-    theta = theta + noise - noise.T
-    r = 1.0 / (1.0 + np.exp(theta))
-    # exact complements: keep the upper triangle, derive the lower
-    return PairwiseLikelihoodMatrix(from_upper(r[iu][None], c)[0])
+    r = 1.0 / (1.0 + np.exp(theta + noise_scale * rng.standard_normal(iu[0].size)))
+    return PairwiseLikelihoodMatrix(from_upper(r[None], p.c)[0])

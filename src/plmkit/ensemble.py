@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PairwiseLikelihoodMatrix, PlmError, Posterior, ShapeError, triu_index
-from .coupling import CoupledStack, theta_map_stack
+from .coupling import theta_map_stack
 
 
 @dataclass(frozen=True)
@@ -39,19 +39,6 @@ class CorrectionPatch:
         for i, j, _ in self.pairs:
             if j >= c:
                 raise ValueError(f"patch pair ({i},{j}) references class >= c={c}")
-
-
-@dataclass(frozen=True)
-class EnsembleSummary:
-    """Per-class spread of coupled posteriors across recombinations."""
-
-    mean: np.ndarray
-    sd: np.ndarray
-    minimum: np.ndarray
-    maximum: np.ndarray
-    deciles: np.ndarray  # shape (9, c): d10 .. d90
-    n_samples: int
-    n_excluded: int
 
 
 def correct_stack(probs: np.ndarray, patch: CorrectionPatch) -> np.ndarray:
@@ -267,20 +254,3 @@ def summarize_stack(probs: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, 
         stats[group, 3:12] = _deciles(arr)
         stats[group, 12] = arr.max(axis=1)
     return stats, probs.shape[1] - kept
-
-
-def summarize(coupled: CoupledStack) -> EnsembleSummary:
-    """Aggregate per-class statistics over the rows of a coupled stack
-    (the N=1 case of :func:`summarize_stack`)."""
-    failed = np.array([e is not None for e in coupled.errors])
-    stats, excluded = summarize_stack(coupled.probs[None], failed[None])
-    mean, sd, minimum, *deciles, maximum = stats[0]
-    return EnsembleSummary(
-        mean=mean,
-        sd=sd,
-        minimum=minimum,
-        maximum=maximum,
-        deciles=np.array(deciles),
-        n_samples=len(failed) - int(excluded[0]),
-        n_excluded=int(excluded[0]),
-    )

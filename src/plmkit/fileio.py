@@ -287,7 +287,8 @@ def read_posterior_stack(path) -> tuple[list[str], np.ndarray]:
     """
     table = _read_table(
         path, "sample_id,p_0,...",
-        lambda header: _vectors("p", len(header) - 1) if header[:1] == ["sample_id"] else None,
+        lambda header: _vectors("p", len(header) - 1)
+        if header == _series("sample_id", "p_", len(header) - 1) else None,
     )  # fmt: skip
     if table.dtype["p"].shape[0] < 2 and table.lines:
         raise FormatError(f"{path}:{table.head}: need at least two probability columns")

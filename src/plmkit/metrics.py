@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BinaryPrediction, LabeledBatch, Posterior
+from .core import BinaryPrediction, LabeledBatch, Posterior, triu_index
 
 
 def argmax_predict(p: Posterior) -> int:
@@ -17,6 +17,8 @@ def accuracy(predictions: list[tuple[str, int]], labels: LabeledBatch) -> float:
     truth = labels.labels_by_id()
     if {sid for sid, _ in predictions} != set(truth):
         raise ValueError("prediction sample_ids do not match label sample_ids")
+    if not predictions:
+        raise ValueError("empty prediction list")
     correct = sum(1 for sid, pred in predictions if pred == truth[sid])
     return correct / len(predictions)
 
@@ -64,11 +66,9 @@ def worst_confused_pair(confusion: np.ndarray) -> tuple[int, int] | None:
     Ties resolve to the lexicographically smaller pair; returns ``None`` when
     the matrix is diagonal (no confusion at all).
     """
-    c = confusion.shape[0]
-    best, best_errors = None, 0
-    for i in range(c):
-        for j in range(i + 1, c):
-            errors = int(confusion[i, j]) + int(confusion[j, i])
-            if errors > best_errors:
-                best, best_errors = (i, j), errors
-    return best
+    rows, cols = triu_index(len(confusion))
+    errors = (confusion + confusion.T)[rows, cols]
+    if not np.any(errors > 0):
+        return None
+    k = int(np.argmax(errors))  # the first maximum: pairs are in lexicographic order
+    return int(rows[k]), int(cols[k])

@@ -223,6 +223,39 @@ def bayes_posterior_ref(means: np.ndarray, scale: float, x: np.ndarray) -> np.nd
     return w / w.sum()
 
 
+def perturb_manifold_ref(probs: np.ndarray, noise_scale: float, seed: int) -> np.ndarray:
+    """The (c, c) matrix of perturb_manifold in its full-matrix formulation:
+    log-odds and noise as c x c matrices, the noise antisymmetrized, then the
+    upper triangle kept and the lower triangle derived from it."""
+    c = probs.size
+    off, iu = ~np.eye(c, dtype=bool), np.triu_indices(c, k=1)
+    base = np.zeros((c, c))
+    base[iu] = probs[iu[0]] / (probs[iu[0]] + probs[iu[1]])
+    base[iu[::-1]] = 1.0 - base[iu]
+    if noise_scale == 0.0:
+        return base
+    theta = np.where(off, np.log(1.0 / np.maximum(base, 1e-300) - 1.0), 0.0)
+    noise = np.zeros((c, c))
+    noise[iu] = noise_scale * np.random.Generator(np.random.PCG64(seed)).standard_normal(len(iu[0]))
+    r = 1.0 / (1.0 + np.exp(theta + noise - noise.T))
+    out = np.zeros((c, c))
+    out[iu], out[iu[::-1]] = r[iu], 1.0 - r[iu]
+    return out
+
+
+def worst_confused_pair_ref(confusion: np.ndarray):
+    """The pair (i, j), i < j, with the most errors either way, scanned in
+    lexicographic order so that a tie keeps the first; None without errors."""
+    best, best_errors = None, 0
+    c = confusion.shape[0]
+    for i in range(c):
+        for j in range(i + 1, c):
+            errors = int(confusion[i, j]) + int(confusion[j, i])
+            if errors > best_errors:
+                best, best_errors = (i, j), errors
+    return best
+
+
 def summary_ref(probs: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """(13, c) per-class mean, sd, min, deciles d10..d90 and max of the ok rows
     of an (n, c) block, one sample at a time with numpy's reductions."""

@@ -11,7 +11,7 @@ import pytest
 from plmkit import CouplingConfig, LabeledBatch, Method, NumericalFailureError, cli
 from plmkit.cli import main
 from plmkit.coupling import couple_stack, theta_map_stack
-from plmkit.ensemble import _pair_rng, summarize
+from plmkit.ensemble import _pair_rng, summarize_stack
 from plmkit.fileio import (
     read_distances,
     read_pairwise_stack,
@@ -335,6 +335,13 @@ class TestBootstrap:
         assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
         assert not out.exists()
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        a, b = self._write_sources(tmp_path)
+        out = tmp_path / "o.csv"
+        assert main(["bootstrap", str(a), str(b), str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+        assert not out.exists()
+
     def test_empty_input_writes_header_only(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_pairwise_stack(a, [], np.zeros((0, 2, 2)))
@@ -376,9 +383,10 @@ class TestBootstrap:
                 pick = _pair_rng(seed + s, k).integers(0, 3, size=rows.size)
                 mats[k, rows, cols] = sources[s, pick, rows, cols]
                 mats[k, cols, rows] = sources[s, pick, cols, rows]
-            one = summarize(couple_stack(mats, config))
-            stats = np.vstack([one.mean, one.sd, one.minimum, one.deciles, one.maximum])
-            expected.append((sid, stats, one.n_excluded))
+            coupled = couple_stack(mats, config)
+            failed = np.array([e is not None for e in coupled.errors])
+            stats, excluded = summarize_stack(coupled.probs[None], failed[None])
+            expected.append((sid, stats[0], int(excluded[0])))
         if method == "bc" and n == "300":
             assert all(0 < excluded < 300 for _, _, excluded in expected)
         summary_rows(tmp_path / "ref.csv", expected)
@@ -436,6 +444,14 @@ class TestEvaluate:
         assert main(["evaluate", str(posterior_file), str(labels), str(tmp_path / "conf.csv")]) == 1
         assert capsys.readouterr().err == f"error: {labels}:{message}\n"
 
+    def test_empty_inputs_rejected(self, tmp_path, capsys):
+        post, labels, conf = (tmp_path / name for name in ("p.csv", "l.csv", "conf.csv"))
+        post.write_text("# plm-v1\nsample_id,p_0,p_1\n")
+        labels.write_text("# plm-v1\nsample_id,label\n")
+        assert main(["evaluate", str(post), str(labels), str(conf)]) == 1
+        assert capsys.readouterr().err == "error: empty prediction list\n"
+        assert not conf.exists()
+
 
 class TestSynth:
     def test_deterministic_files(self, tmp_path):
@@ -464,6 +480,22 @@ class TestSynth:
         rows = list(csv.reader(lines[2:]))
         assert [r[0] for r in rows] == read_posterior_stack(post)[0]
         assert all(len(r) == 3 and np.isfinite([float(x) for x in r[1:]]).all() for r in rows)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--c", "1"], "c must be >= 2, got 1"),
+            (["--c", "0"], "c must be >= 2, got 0"),
+            (["--c", "-2", "--dim", "3"], "c must be >= 2, got -2"),
+            (["--dim", "0"], "dim must be >= 1, got 0"),
+            (["--c", "4", "--dim", "-1"], "dim must be >= 1, got -1"),
+        ],
+    )
+    def test_bad_shape_rejected(self, tmp_path, capsys, flags, message):
+        post, labels, feats = (tmp_path / name for name in ("p.csv", "l.csv", "f.csv"))
+        assert main(["synth", str(post), str(labels), "--features", str(feats), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVersionFlag:

@@ -19,7 +19,6 @@ from plmkit import (
     couple_stack,
     couple_wlw,
     delta2_value,
-    extend_posterior,
     iia_restrict,
     reconstruct_from_column,
     stabilize_clip,
@@ -278,10 +277,6 @@ class TestStabilizeDrop:
         reduced, survivors = stabilize_drop(m, 1e-3)
         assert survivors == [0, 1, 2]
         np.testing.assert_array_equal(reduced.entries, m.entries)
-
-    def test_extend_with_zero(self):
-        p = extend_posterior(Posterior([0.7, 0.3]), [0, 1], 3)
-        np.testing.assert_allclose(p.probs, [0.7, 0.3, 0.0])
 
     def test_all_dropped(self):
         eps = 1e-6

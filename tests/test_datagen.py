@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmkit import (
     BlobSpec,
@@ -16,7 +18,7 @@ from plmkit import (
     validate_pairwise,
 )
 from plmkit.datagen import bayes_posterior_stack
-from oracles import bayes_posterior_ref, random_posterior
+from oracles import bayes_posterior_ref, perturb_manifold_ref, random_posterior
 
 
 def make_spec(**overrides):
@@ -150,6 +152,28 @@ class TestPerturbManifold:
         p = Posterior([0.2, 0.3, 0.5])
         out = perturb_manifold(p, 0.0, seed=1)
         np.testing.assert_array_equal(out.entries, theta_map(p).entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=15),
+        st.sampled_from([0.0, 1e-12, 2.0]),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=14),
+    )
+    def test_equals_full_matrix_formulation(self, c, scale, seed, tiny):
+        """Bit for bit the c x c log-odds and noise formulation, with some
+        entries near 1e-300, where pairs round to exactly 0 and 1."""
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(c))
+        small = rng.choice(c, size=min(tiny, c - 1), replace=False)
+        tiny_entries = 10.0 ** -rng.uniform(250, 300, size=small.size)
+        probs[small] = np.where(rng.random(small.size) < 0.3, 1e-300, tiny_entries)
+        p = Posterior(probs / probs.sum())
+        # an entry of exactly 1 has log-odds log(0) on both sides
+        with np.errstate(divide="ignore", over="ignore"):
+            got = perturb_manifold(p, scale, seed).entries
+            ref = perturb_manifold_ref(p.probs, scale, seed)
+        assert got.tobytes() == ref.tobytes()
 
     def test_outputs_valid_for_large_noise(self):
         rng = np.random.default_rng(12)

@@ -26,7 +26,6 @@ from plmkit.ensemble import (
     _pair_rng,
     _stream_choices,
     recombine_stack,
-    summarize,
     summarize_stack,
 )
 from oracles import random_offmanifold, random_posterior, summary_ref
@@ -143,27 +142,37 @@ class TestBootstrapRecombine:
         assert abs(hits / n - 0.5) <= 0.03
 
 
+def _one_sample(coupled):
+    failed = np.array([e is not None for e in coupled.errors])
+    stats, excluded = summarize_stack(coupled.probs[None], failed[None])
+    return stats[0], int(excluded[0])
+
+
 class TestEnsembleSummary:
+    """Statistics of one sample: mean, sd, min, deciles d10 .. d90, max."""
+
     def test_single_matrix_zero_sd(self):
         rng = np.random.default_rng(6)
         m = PairwiseLikelihoodMatrix(random_offmanifold(rng, 3))
-        s = summarize(couple_stack(m.entries[None], CouplingConfig()))
-        assert np.all(s.sd == 0.0)
-        assert s.n_samples == 1 and s.n_excluded == 0
+        stats, excluded = _one_sample(couple_stack(m.entries[None], CouplingConfig()))
+        assert np.all(stats[1] == 0.0)
+        assert 1 - excluded == 1 and excluded == 0
 
     def test_repeated_matrices_zero_sd(self):
         rng = np.random.default_rng(7)
         m = PairwiseLikelihoodMatrix(random_offmanifold(rng, 3))
-        s = summarize(couple_stack(np.stack([m.entries] * 10), CouplingConfig()))
-        assert np.allclose(s.sd, 0.0)
+        stats, _ = _one_sample(couple_stack(np.stack([m.entries] * 10), CouplingConfig()))
+        assert np.allclose(stats[1], 0.0)
 
     def test_summary_invariants(self):
         rng = np.random.default_rng(9)
         matrices = np.stack([random_offmanifold(rng, 4) for _ in range(30)])
-        s = summarize(couple_stack(matrices, CouplingConfig(method=Method.BAYES_COVARIANT)))
-        assert np.all(np.diff(s.deciles, axis=0) >= -1e-12)
-        assert np.all(s.minimum <= s.mean + 1e-12)
-        assert np.all(s.mean <= s.maximum + 1e-12)
+        config = CouplingConfig(method=Method.BAYES_COVARIANT)
+        stats, _ = _one_sample(couple_stack(matrices, config))
+        mean, minimum, deciles, maximum = stats[0], stats[2], stats[3:12], stats[12]
+        assert np.all(np.diff(deciles, axis=0) >= -1e-12)
+        assert np.all(minimum <= mean + 1e-12)
+        assert np.all(mean <= maximum + 1e-12)
 
     def test_matches_full_enumeration_c3(self):
         # reference: enumerate all 2^3 recombinations of two c=3 sources and
@@ -185,8 +194,8 @@ class TestEnsembleSummary:
                 exact += couple(PairwiseLikelihoodMatrix(m), config).probs
             exact /= 8
             recombined = recombine_stack(np.stack([m.entries for m in sources])[None], 4000, [77])
-            s = summarize(couple_stack(recombined[0], config))
-            np.testing.assert_allclose(s.mean, exact, atol=0.02)
+            stats, _ = _one_sample(couple_stack(recombined[0], config))
+            np.testing.assert_allclose(stats[0], exact, atol=0.02)
 
     def test_failed_couplings_excluded(self):
         good = theta_map(Posterior([0.2, 0.3, 0.5]))
@@ -194,8 +203,9 @@ class TestEnsembleSummary:
             [[0.0, 1.0, 0.6], [0.0, 0.0, 0.6], [0.4, 0.4, 0.0]]
         )
         config = CouplingConfig(method=Method.BAYES_COVARIANT)
-        s = summarize(couple_stack(np.stack([good.entries, bad.entries, good.entries]), config))
-        assert s.n_samples == 2 and s.n_excluded == 1
+        stack = np.stack([good.entries, bad.entries, good.entries])
+        _, excluded = _one_sample(couple_stack(stack, config))
+        assert 3 - excluded == 2 and excluded == 1
 
 
 def _near(base):
@@ -270,12 +280,11 @@ class TestSummarizeStack:
         failed = np.array([e is not None for e in coupled.errors]).reshape(samples, n)
         stats, excluded = summarize_stack(coupled.probs.reshape(samples, n, c), failed)
         for b in range(samples):
-            one = summarize(couple_stack(stack[b * n : (b + 1) * n], config))
-            single = np.vstack([one.mean, one.sd, one.minimum, one.deciles, one.maximum])
+            single, single_excluded = _one_sample(couple_stack(stack[b * n : (b + 1) * n], config))
             ref = summary_ref(coupled.probs.reshape(samples, n, c)[b], ~failed[b])
             assert stats[b].tobytes() == single.tobytes() == ref.tobytes()
-            assert excluded[b] == one.n_excluded == failed[b].sum()
-            assert one.n_samples == n - one.n_excluded
+            assert excluded[b] == single_excluded == failed[b].sum()
+            assert n - single_excluded == np.count_nonzero(~failed[b])
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -307,6 +307,10 @@ MALFORMED = [
      "{path}:6: could not convert string to float: 'half'"),
     ("posterior wrong header", read_posterior_stack, PRE + "# x\nid,p_0,p_1\n",
      "{path}:4: expected header sample_id,p_0,..."),
+    ("posterior column names", read_posterior_stack, PRE + "sample_id,foo,bar\na,0.5,0.5\n",
+     "{path}:3: expected header sample_id,p_0,..."),
+    ("posterior columns out of order", read_posterior_stack, PRE + "sample_id,p_1,p_0\na,0.5,0.5\n",
+     "{path}:3: expected header sample_id,p_0,..."),
     ("labels wrong header", read_labels, PRE + "# x\nsample_id,lab\n",
      "{path}:4: expected header sample_id,label"),
     ("labels missing header", read_labels, PRE + "# x\n", "{path}: missing header row"),

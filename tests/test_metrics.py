@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmkit import (
     BinaryPrediction,
@@ -12,6 +14,7 @@ from plmkit import (
     pairwise_accuracy,
     worst_confused_pair,
 )
+from oracles import worst_confused_pair_ref
 
 # confusion counts of a 10-class baseline classifier used as a fixed fixture
 BASELINE_CONFUSION = np.array(
@@ -150,3 +153,23 @@ class TestWorstConfusedPair:
     def test_tie_breaks_lexicographic(self):
         counts = np.array([[0, 3, 0], [3, 0, 3], [0, 3, 0]])
         assert worst_confused_pair(counts) == (0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from(["counts", "ties", "diagonal"]),
+    )
+    def test_equals_pairwise_scan(self, c, seed, kind):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 1000, size=(c, c), dtype=np.int64)
+        if kind == "diagonal":
+            counts = np.diag(np.diag(counts))
+        elif kind == "ties" and c > 2:
+            # two pairs share the most errors, split differently between them
+            top = int((counts + counts.T).max()) + 1
+            rows, cols = np.triu_indices(c, k=1)
+            for n, k in enumerate(rng.choice(rows.size, size=2, replace=False)):
+                i, j = rows[k], cols[k]
+                counts[i, j], counts[j, i] = (top, 0) if n else (top - 1, 1)
+        assert worst_confused_pair(counts) == worst_confused_pair_ref(counts)

@@ -14,9 +14,9 @@ from plmkit import (
     Posterior,
     ShapeError,
     SingularityError,
+    accuracy,
     confusion_matrix,
     distance_bc,
-    extend_posterior,
     pairwise_accuracy,
     perturb_manifold,
     reconstruct_from_column,
@@ -25,7 +25,7 @@ from plmkit import (
     theta_of,
 )
 from plmkit.coupling import couple_stack
-from plmkit.ensemble import recombine_stack, summarize
+from plmkit.ensemble import recombine_stack, summarize_stack
 from plmkit.fileio import FormatError, read_posterior_stack
 
 # a nonzero diagonal entry and a broken complement
@@ -58,19 +58,25 @@ RAISES = [
      ValueError, "tau must be in (0, 0.5), got 0.7"),
     ("stabilize_drop rho", lambda path: stabilize_drop(VALID, 0.7),
      ValueError, "rho must be in (0, 0.5), got 0.7"),
-    ("extend_posterior length", lambda path: extend_posterior(Posterior([0.5, 0.5]), [0], 3),
-     ShapeError, "survivor list does not match reduced posterior length"),
     ("BlobSpec means", lambda path: BlobSpec(c=2, dim=2, means=np.zeros((3, 2)), scale=1.0,
                                              n_per_class=1, seed=0),
      ValueError, "means must have shape (2,2), got (3, 2)"),
+    ("BlobSpec one class", lambda path: BlobSpec(c=1, dim=1, means=np.zeros((1, 1)), scale=1.0,
+                                                 n_per_class=1, seed=0),
+     ValueError, "c must be >= 2, got 1"),
+    ("BlobSpec no dimension", lambda path: BlobSpec(c=2, dim=0, means=np.zeros((2, 0)), scale=1.0,
+                                                    n_per_class=1, seed=0),
+     ValueError, "dim must be >= 1, got 0"),
     ("GlmSpec epsilon", lambda path: GlmSpec(epsilon=0.7),
      ValueError, "epsilon must be in (0, 0.5), got 0.7"),
     ("perturb_manifold zero entry", lambda path: perturb_manifold(Posterior([0.0, 1.0]), 0.1, 0),
      SingularityError, "posterior must be strictly positive"),
     ("recombine_stack one source", lambda path: recombine_stack(np.zeros((1, 1, 2, 2)), 3, [0]),
      ValueError, "need at least two source matrices"),
-    ("summarize no rows", lambda path: summarize(couple_stack(np.zeros((0, 2, 2)), CouplingConfig())),
+    ("summarize no rows", lambda path: summarize_stack(np.zeros((1, 0, 2)), np.zeros((1, 0), bool)),
      ValueError, "need at least one matrix"),
+    ("accuracy empty", lambda path: accuracy([], LabeledBatch(samples=(), c=2)),
+     ValueError, "empty prediction list"),
     ("pairwise_accuracy empty", lambda path: pairwise_accuracy([], LabeledBatch(samples=(), c=2)),
      ValueError, "empty prediction list"),
     ("confusion_matrix ids", lambda path: confusion_matrix(

@@ -45,15 +45,11 @@ def sureness_stack(stack: np.ndarray, config: CouplingConfig) -> CoupledStack:
     return couple_stack(stack, _measured(config.method, config.tau))
 
 
-def _distance(matrix: PairwiseLikelihoodMatrix, config: CouplingConfig) -> CoupledStack:
-    coupled = sureness_stack(matrix.entries[None], config)
-    coupled.raise_first()
-    return coupled
-
-
 def sureness(matrix: PairwiseLikelihoodMatrix, config: CouplingConfig) -> float:
     """Distance appropriate to the configured coupling method."""
-    return float(_distance(matrix, config).residual[0])
+    coupled = sureness_stack(matrix.entries[None], config)
+    coupled.raise_first()
+    return float(coupled.residual[0])
 
 
 def distance_wlw(matrix: PairwiseLikelihoodMatrix) -> float:
@@ -74,12 +70,16 @@ def calibrate_threshold(in_distribution: list[float], quantile: float) -> float:
     """Nearest-rank empirical quantile of in-distribution distances.
 
     The abstention rule is ``distance > threshold``, so a quantile of e.g.
-    0.95 lets through 95% of in-distribution traffic.
+    0.95 lets through 95% of in-distribution traffic.  NaN has no rank, so
+    every distance must be finite and non-negative.
     """
     if not in_distribution:
         raise ValueError("need at least one in-distribution distance")
     if not (0.0 < quantile < 1.0):
         raise ValueError(f"quantile must be in (0, 1), got {quantile}")
+    for d in in_distribution:
+        if not (math.isfinite(d) and d >= 0.0):
+            raise ValueError(f"distance {d!r} is not finite and non-negative")
     ordered = sorted(in_distribution)
     rank = math.ceil(quantile * len(ordered))
     return ordered[rank - 1]
@@ -91,11 +91,13 @@ def abstaining_predict(
     """Couple the matrix, or abstain when its manifold distance exceeds the threshold."""
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    coupled = _distance(matrix, config)
+    measured = _measured(config.method, config.tau)
+    coupled = couple_stack(matrix.entries[None], measured)
+    coupled.raise_first()
     d = float(coupled.residual[0])
     if d > threshold:
         return Abstain(distance=d)
     # the distance's own coupling is the answer when it runs the configured one
-    if config.stabilization is _measured(config.method, config.tau).stabilization:
+    if config.stabilization is measured.stabilization:
         return coupled.posterior(0)
     return couple(matrix, config)

@@ -73,6 +73,13 @@ class Posterior:
         return hash(self.probs.tobytes())
 
 
+def _known_posterior(probs: np.ndarray) -> Posterior:
+    """A frozen ``Posterior`` of a row known to be on the simplex, not checked again."""
+    p = object.__new__(Posterior)
+    object.__setattr__(p, "probs", _frozen(probs))
+    return p
+
+
 @dataclass(frozen=True)
 class PairwiseLikelihoodMatrix:
     """A c x c matrix of pairwise likelihoods, zero diagonal by convention.
@@ -215,15 +222,18 @@ def triu_index(c: int) -> tuple[np.ndarray, np.ndarray]:
 
     Pairs come in row-major order, the row order of the pairwise file format.
     The arrays are cached per ``c`` and read-only, as are those of
-    :func:`diag_index`, :func:`off_diagonal` and :func:`strict_upper`.
+    :func:`off_diagonal` and :func:`strict_upper`.
     """
     return tuple(_read_only(a) for a in np.triu_indices(c, k=1))
 
 
-@functools.lru_cache(maxsize=None)
-def diag_index(c: int) -> np.ndarray:
-    """Indices 0 .. c-1: ``m[..., d, d]`` is the diagonal of a c x c matrix."""
-    return _read_only(np.arange(c))
+def diagonals(stack: np.ndarray) -> np.ndarray:
+    """(N, c) view of the diagonals of a C-contiguous (N, c, c) stack; writes
+    reach the stack.  Any other layout raises, as its reshape would copy."""
+    if not stack.flags.c_contiguous:
+        raise ValueError("diagonals needs a C-contiguous stack")
+    n, c = stack.shape[:2]
+    return stack.reshape(n, c * c)[:, :: c + 1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -261,18 +271,20 @@ def pairwise_violations(stack: np.ndarray) -> dict[int, list[str]]:
     formatted for the failing rows.  The input is never mutated.
     """
     c = stack.shape[-1]
-    d = diag_index(c)
-    s = stack + np.swapaxes(stack, 1, 2)
-    s[:, d, d] = 1.0
-    # a nonzero diagonal fails by itself, so the range test may span it
-    if not (
-        stack[:, d, d].any()
-        or stack.min(initial=0.0) < 0.0
-        or stack.max(initial=1.0) > 1.0
-        or np.abs(s - 1.0).max(initial=0.0) > SYM_TOL
+    stack = np.ascontiguousarray(stack)
+    s = stack + stack.swapaxes(1, 2)
+    diagonals(s)[...] = 1.0
+    # a nonzero diagonal fails by itself, so the range test may span it; NaN
+    # fails every test; max(s) - 1 and 1 - min(s) bound |s - 1| exactly
+    if (
+        not np.count_nonzero(diagonals(stack))
+        and stack.min(initial=0.0) >= 0.0
+        and stack.max(initial=1.0) <= 1.0
+        and s.max(initial=1.0) - 1.0 <= SYM_TOL
+        and 1.0 - s.min(initial=1.0) <= SYM_TOL
     ):
         return {}
-    diag_bad = stack[:, d, d] != 0.0
+    diag_bad = diagonals(stack) != 0.0
     range_bad = off_diagonal(c) & ((stack < 0.0) | (stack > 1.0))
     sum_bad = strict_upper(c) & (np.abs(s - 1.0) > SYM_TOL)
     bad = diag_bad.any(axis=1) | range_bad.any(axis=(1, 2)) | sum_bad.any(axis=(1, 2))

@@ -13,6 +13,7 @@ the one coupling path, and the single-matrix functions are its N=1 case.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -30,8 +31,9 @@ from .core import (
     ShapeError,
     SingularityError,
     Stabilization,
+    _known_posterior,
     _read_only,
-    diag_index,
+    diagonals,
     from_upper,
     off_diagonal,
     pairwise_violations,
@@ -87,25 +89,37 @@ def reconstruct_from_column(matrix: PairwiseLikelihoodMatrix, j: int) -> Posteri
     return Posterior(p / p.sum())
 
 
-def _wlw_quadratic(m: np.ndarray) -> np.ndarray:
-    """Matrix Q with p'Qp = sum over ordered pairs of (r_ij p_j - r_ji p_i)^2.
+@functools.lru_cache(maxsize=None)
+def _system_parts(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only frame of an augmented WLW system, ones with a zero corner,
+    and its right-hand side e_{c+1}; cached per c."""
+    frame, rhs = np.ones((c + 1, c + 1)), np.zeros((c + 1, 1))
+    frame[c, c], rhs[c] = 0.0, 1.0
+    return _read_only(frame), _read_only(rhs)
 
-    ``m`` is one matrix or a stack with zero diagonals; Q is built for each.
-    """
-    d = diag_index(m.shape[-1])
-    # 0.0 - x: an exact zero product stays +0.0, as in 2 * (0 - x)
-    q = 0.0 - 2.0 * (m * np.swapaxes(m, -1, -2))
-    q[..., d, d] += 2.0 * (m * m).sum(axis=-2)
-    return q
+
+def _wlw_system(m: np.ndarray) -> np.ndarray:
+    """The augmented stationarity systems [[Q, 1], [1', 0]] of a stack with
+    zero diagonals, Q with p'Qp = sum over ordered pairs of (r_ij p_j - r_ji p_i)^2."""
+    n, c = m.shape[:2]
+    aug = np.empty((n, c + 1, c + 1))
+    aug[...] = _system_parts(c)[0]
+    # 0.0 - x: an exact zero product stays +0.0
+    aug[:, :c, :c] = 0.0 - 2.0 * (m * m.swapaxes(1, 2))
+    # the diagonal, 0.0 + 2 * column sum of squares, is that product exactly
+    np.multiply((m * m).sum(axis=1), 2.0, out=diagonals(aug)[:, :c])
+    return aug
 
 
 def _delta2(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Sum of squared pair residuals per row of an (N, c, c) stack and (N, c) posteriors."""
-    resid = m * p[:, None, :] - np.swapaxes(m, 1, 2) * p[:, :, None]
-    c = p.shape[1]
-    d = diag_index(c)
-    resid[:, d, d] = 0.0
-    return (resid**2).reshape(len(p), c * c).sum(axis=1)
+    # a[i, j] = r_ij p_j, so the transpose holds r_ji p_i; the diagonal is
+    # x - x, an exact zero
+    a = m * p[:, None, :]
+    resid = a - a.swapaxes(1, 2)
+    np.square(resid, out=resid)
+    n, c = p.shape
+    return resid.reshape(n, c * c).sum(axis=1)
 
 
 def delta2_value(matrix: PairwiseLikelihoodMatrix, p: Posterior) -> float:
@@ -122,8 +136,7 @@ def _solve_augmented(aug: np.ndarray, errors: dict) -> np.ndarray:
     by row, and each singular row gets an error and the uniform answer.
     """
     n, size = aug.shape[:2]
-    rhs = np.zeros((n, size, 1))
-    rhs[:, -1] = 1.0
+    rhs = _system_parts(size - 1)[1]
     try:
         return np.linalg.solve(aug, rhs)[..., 0]
     except np.linalg.LinAlgError:
@@ -132,7 +145,7 @@ def _solve_augmented(aug: np.ndarray, errors: dict) -> np.ndarray:
     sol = np.full((n, size), 1.0 / (size - 1))
     for k in range(n):
         try:
-            sol[k] = np.linalg.solve(aug[k], rhs[k])[:, 0]
+            sol[k] = np.linalg.solve(aug[k], rhs)[:, 0]
         except np.linalg.LinAlgError:
             with np.errstate(divide="ignore"):
                 cond = np.linalg.cond(aug[k])
@@ -152,19 +165,18 @@ def _wlw_stack(m: np.ndarray, errors: dict) -> tuple[np.ndarray, np.ndarray]:
     (c+1) x (c+1) linear system per matrix, solved directly and all at once.
     Wu, Lin & Weng (2004) show the non-negativity constraints are then
     redundant, so a solution below zero by more than floating-point noise is
-    an error.
+    an error, as is a non-finite one: every row without an error is a posterior.
     """
-    n, c = m.shape[:2]
-    aug = np.ones((n, c + 1, c + 1))
-    aug[:, :c, :c] = _wlw_quadratic(m)
-    aug[:, c, c] = 0.0
-    p = _solve_augmented(aug, errors)[:, :c]
-    low = p.min(axis=1)
-    for k in np.nonzero(low < -_NEG_CLAMP)[0]:
-        message = f"direct solve left the simplex: min p = {low[k]:.3e}"
-        errors.setdefault(int(k), NumericalFailureError(message))
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum(axis=1, keepdims=True)
+    p = _solve_augmented(_wlw_system(m), errors)[:, : m.shape[-1]]
+    # NaN fails both bounds
+    if not (p.min(initial=0.0) >= -_NEG_CLAMP and p.max(initial=0.0) < np.inf):
+        low, high = p.min(axis=1), p.max(axis=1)
+        for k in np.flatnonzero(~((low >= -_NEG_CLAMP) & (high < np.inf))):
+            message = f"direct solve left the simplex: min p = {low[k]:.3e}, max p = {high[k]:.3e}"
+            errors.setdefault(int(k), NumericalFailureError(message))
+            p[k] = 1.0 / p.shape[1]  # the uniform answer, as for a singular system
+    p = np.maximum(p, 0.0)
+    p /= p.sum(axis=1, keepdims=True)
     return p, _delta2(m, p)
 
 
@@ -179,12 +191,11 @@ _SINGULAR = "pairwise entry at 0 or 1: log-odds map diverges (apply clip stabili
 
 def _log_odds(stack: np.ndarray) -> np.ndarray:
     """Log-odds matrices of a stack with every off-diagonal entry inside (0, 1)."""
-    d = diag_index(stack.shape[-1])
     inner = stack.copy()
-    inner[:, d, d] = 0.5
+    diagonals(inner)[...] = 0.5
     th = np.log(1.0 / inner - 1.0)
     # enforce exact antisymmetry against rounding in the two complements
-    return 0.5 * (th - np.swapaxes(th, 1, 2))
+    return 0.5 * (th - th.swapaxes(1, 2))
 
 
 def theta_of(matrix: PairwiseLikelihoodMatrix) -> np.ndarray:
@@ -197,18 +208,27 @@ def theta_of(matrix: PairwiseLikelihoodMatrix) -> np.ndarray:
     return _read_only(_log_odds(matrix.entries[None])[0])
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_flat(c: int) -> np.ndarray:
+    """Read-only flat indices of the :func:`triu_index` pairs, cached per c."""
+    rows, cols = triu_index(c)
+    return _read_only(rows * c + cols)
+
+
 def _bc_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bayes-covariant posteriors and projection residual norms for a stack.
 
     The log-odds coordinates are projected orthogonally onto the additive
     subspace; the class potentials, the column means, are exponentiated.
     """
+    n, c = m.shape[:2]
     th = _log_odds(m)
-    v = th.sum(axis=1) / th.shape[-1]
+    v = th.sum(axis=1) / c
     w = np.exp(v - v.max(axis=1, keepdims=True))
     p = w / w.sum(axis=1, keepdims=True)
-    rows, cols = triu_index(m.shape[-1])
-    resid = np.ascontiguousarray((th - (v[:, None, :] - v[:, :, None]))[:, rows, cols])
+    # the residual th_ij - (v_j - v_i), kept on the upper triangle
+    th -= v[:, None, :] - v[:, :, None]
+    resid = th.reshape(n, c * c).take(_upper_flat(c), axis=1)
     # one BLAS dot per row, as np.linalg.norm computes a vector's norm
     return p, np.sqrt((resid[:, None, :] @ resid[:, :, None])[:, 0, 0])
 
@@ -222,12 +242,17 @@ def _couple_method(m: np.ndarray, method: Method, errors: dict) -> tuple[np.ndar
     """
     for row, violations in pairwise_violations(m).items():
         errors[row] = InvalidDistributionError("; ".join(violations))
-    if method is Method.BAYES_COVARIANT:
+    # with every row valid, entries lie in [0, 1] and diagonals are zero, so no
+    # row is singular when no entry is 1 and only the n*c diagonal entries are 0
+    n, c = m.shape[:2]
+    if method is Method.BAYES_COVARIANT and (
+        errors or not (m.max(initial=0.0) < 1.0 and np.count_nonzero(m) == n * c * (c - 1))
+    ):
         for row in np.nonzero(_singular_rows(m))[0]:
             errors.setdefault(int(row), SingularityError(_SINGULAR))
     if errors:
         m = m.copy()
-        m[list(errors)] = 0.5 * off_diagonal(m.shape[-1])
+        m[list(errors)] = 0.5 * off_diagonal(c)
     if method is Method.WU_LIN_WENG:
         return _wlw_stack(m, errors)
     return _bc_stack(m)
@@ -236,14 +261,20 @@ def _couple_method(m: np.ndarray, method: Method, errors: dict) -> tuple[np.ndar
 def _clip_stack(stack: np.ndarray, tau: float) -> np.ndarray:
     """Every off-diagonal entry forced into [tau, 1 - tau], complements kept exact."""
     c = stack.shape[-1]
+    # a stack already inside, with +0.0 (all bits zero) diagonals, is its own clip
+    if (
+        not np.count_nonzero(diagonals(stack.view(np.int64)))
+        and stack.max(initial=0.0) <= 1.0 - tau
+        and np.count_nonzero(stack < tau) == stack.shape[0] * c
+    ):
+        return stack
     clipped = np.clip(stack, tau, 1.0 - tau)
-    mirror = np.swapaxes(clipped, 1, 2)
+    mirror = clipped.swapaxes(1, 2)
     # the lower triangle mirrors each clipped upper entry; untouched pairs
     # keep their original complements bit-for-bit
-    lower = np.where(mirror != np.swapaxes(stack, 1, 2), 1.0 - mirror, stack)
+    lower = np.where(mirror != stack.swapaxes(1, 2), 1.0 - mirror, stack)
     m = np.where(strict_upper(c), clipped, lower)
-    d = diag_index(c)
-    m[:, d, d] = 0.0
+    diagonals(m)[...] = 0.0
     return m
 
 
@@ -299,7 +330,8 @@ class CoupledStack(NamedTuple):
         """Row ``k`` as a posterior, raising the error that row failed with."""
         if self.errors[k] is not None:
             raise self.errors[k]
-        return Posterior(self.probs[k])
+        # coupling leaves every row it does not fail on the simplex
+        return _known_posterior(self.probs[k])
 
     def raise_first(self) -> None:
         """Raise the error of the first failed row, if any."""
@@ -322,7 +354,9 @@ def couple_stack(stack: np.ndarray, config: CouplingConfig) -> CoupledStack:
     stack = np.ascontiguousarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 2:
         raise ShapeError(f"expected an (N, c, c) stack with c >= 2, got shape {stack.shape}")
-    if not np.all(np.isfinite(stack)):
+    # NaN fails both bounds, so only a stack outside [0, 1] pays the finiteness pass
+    bounded = stack.min(initial=0.0) >= 0.0 and stack.max(initial=1.0) <= 1.0
+    if not (bounded or np.isfinite(stack).all()):
         raise ShapeError("pairwise matrix contains non-finite entries")
     if config.stabilization is Stabilization.CLIP:
         stack = _clip_stack(stack, config.tau)

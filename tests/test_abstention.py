@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,13 @@ class TestCalibrateThreshold:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             calibrate_threshold([], 0.5)
+
+    # NaN has no rank: accepting it would make the answer depend on the order
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_rejects_bad_distance_in_any_order(self, bad):
+        for order in itertools.permutations([bad, 0.2, 0.1]):
+            with pytest.raises(ValueError, match=r"is not finite and non-negative$"):
+                calibrate_threshold(list(order), 0.5)
 
 
 class TestAbstainingPredict:

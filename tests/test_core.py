@@ -16,7 +16,7 @@ from plmkit import (
 from plmkit.core import (
     SUM_TOL,
     SYM_TOL,
-    diag_index,
+    diagonals,
     from_upper,
     off_diagonal,
     pairwise_violations,
@@ -202,13 +202,21 @@ class TestTriangle:
 
     @pytest.mark.parametrize("c", [2, 5])
     def test_cached_masks(self, c):
-        d = diag_index(c)
-        assert np.array_equal(d, np.arange(c)) and diag_index(c) is d
         assert np.array_equal(off_diagonal(c), ~np.eye(c, dtype=bool))
         assert np.array_equal(strict_upper(c), np.triu(np.ones((c, c), dtype=bool), k=1))
-        for a in (d, off_diagonal(c), strict_upper(c)):
+        for a in (off_diagonal(c), strict_upper(c)):
             with pytest.raises(ValueError):
                 a[...] = 0
+
+    def test_diagonals_view(self):
+        stack = np.arange(18.0).reshape(2, 3, 3)
+        d = diagonals(stack)
+        assert np.array_equal(d, [[0, 4, 8], [9, 13, 17]])
+        d[...] = -1.0
+        assert np.array_equal(stack[:, [0, 1, 2], [0, 1, 2]], np.full((2, 3), -1.0))
+        # on a slice the reshape would copy and writes would be lost
+        with pytest.raises(ValueError):
+            diagonals(np.ones((2, 4, 4))[:, :3, :3])
 
     def test_from_upper_exact_complements(self):
         upper = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, 5e-324]])

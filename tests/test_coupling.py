@@ -27,7 +27,9 @@ from plmkit import (
     theta_of,
     validate_pairwise,
 )
-from plmkit.coupling import _clip_stack, _solve_augmented, _wlw_quadratic
+from plmkit import coupling
+from plmkit.core import from_upper, posterior_violations
+from plmkit.coupling import _clip_stack, _solve_augmented, _wlw_system
 from oracles import clip_stack_ref, quadratic_form, random_offmanifold, random_posterior
 
 OFF_MANIFOLD = PairwiseLikelihoodMatrix(
@@ -143,7 +145,10 @@ class TestCoupleWlw:
     def test_closed_form_quadratic_matches_loop(self, c):
         m = random_offmanifold(np.random.default_rng(c), c)
         ref = quadratic_form(m)
-        assert np.max(np.abs(_wlw_quadratic(m) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        aug = _wlw_system(m[None])[0]
+        assert np.max(np.abs(aug[:c, :c] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        border = np.append(np.ones(c), 0.0)
+        assert np.array_equal(aug[c], border) and np.array_equal(aug[:, c], border)
 
     # Wu, Lin & Weng (2004): the non-negativity constraints are redundant, so the
     # direct solve alone must stay on the simplex, boundary entries included.
@@ -237,7 +242,7 @@ class TestStabilizeClip:
             assert validate_pairwise(stabilize_clip(m, 1e-3)) == []
 
     # whole-matrix clipping against the upper-triangle fancy-index reference,
-    # bit for bit, broken complements included
+    # bit for bit, broken complements and stacks already inside included
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(min_value=0, max_value=2**32),
@@ -247,10 +252,14 @@ class TestStabilizeClip:
     )
     def test_matches_fancy_index_reference(self, seed, c, n, tau):
         rng = np.random.default_rng(seed)
-        stack = rng.random((n, c, c))
+        inside = rng.random() < 0.3  # every entry already in [tau, 1 - tau]
+        stack = rng.uniform(tau, 1.0 - tau, (n, c, c)) if inside else rng.random((n, c, c))
         edge = rng.random(stack.shape) < 0.5
-        stack[edge] = rng.choice([0.0, 1.0, tau, 1.0 - tau, tau / 2, 0.5], size=edge.sum())
+        edges = [tau, 1.0 - tau, 0.5] if inside else [0.0, 1.0, tau, 1.0 - tau, tau / 2, 0.5]
+        stack[edge] = rng.choice(edges, size=edge.sum())
         iu = np.triu_indices(c, k=1)
+        if inside:  # the clip turns a -0.0 diagonal into +0.0
+            stack[:, range(c), range(c)] = rng.choice([0.0, -0.0], size=(n, c))
         for k in np.flatnonzero(rng.random(n) < 0.5):  # the others keep broken complements
             stack[k, iu[1], iu[0]] = 1.0 - stack[k][iu]
         expected = clip_stack_ref(stack, tau)
@@ -381,7 +390,43 @@ def _stack_row(data, c):
     return m
 
 
+def _seeded_row(rng, c):
+    """One matrix on or off the manifold, with boundary entries and sometimes
+    a broken complement, for any c."""
+    rows, cols = np.triu_indices(c, k=1)
+    p = np.maximum(rng.dirichlet(np.full(c, rng.choice([0.1, 1.0, 10.0]))), 1e-300)
+    upper = p[rows] / (p[rows] + p[cols])
+    if rng.random() < 0.5:
+        upper = np.where(rng.random(upper.size) < 0.5, rng.random(upper.size), upper)
+    edge = rng.random(upper.size) < 0.1
+    upper[edge] = rng.choice([0.0, 1.0, 1e-300, 1e-5, 1.0 - 1e-12, 0.5], size=edge.sum())
+    m = from_upper(upper[None], c)[0]
+    if rng.random() < 0.2:
+        k = rng.integers(upper.size)
+        m[cols[k], rows[k]] = (m[cols[k], rows[k]] + 0.25) % 1.0
+    return m
+
+
 class TestCoupleStack:
+    # the invariant that lets CoupledStack.posterior skip re-validation: every
+    # row without an error is on the simplex, and couple() returns that row
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_rows_without_error_are_posteriors(self, seed, c, n):
+        rng = np.random.default_rng(seed)
+        stack = np.array([_seeded_row(rng, c) for _ in range(n)])
+        for config in CONFIGS:
+            coupled = couple_stack(stack, config)
+            ok = [k for k in range(n) if coupled.errors[k] is None]
+            assert posterior_violations(coupled.probs[ok]) == {}
+            for k in ok:
+                got = couple(PairwiseLikelihoodMatrix(stack[k]), config)
+                assert got == Posterior(coupled.probs[k]) and not got.probs.flags.writeable
+
     # every row of a stack is coupled exactly as it would be alone: same
     # posterior and residual bit for bit, same error type and text
     @settings(max_examples=150, deadline=None)
@@ -418,11 +463,67 @@ class TestCoupleStack:
         coupled = couple_stack(np.zeros((0, 4, 4)), config)
         assert coupled.probs.shape == (0, 4) and coupled.errors == ()
 
-    def test_non_finite_stack_rejected(self):
+    # the whole call fails before any stabilizer runs: a clip would turn +inf
+    # into 1 - tau, and class dropping would drop a class over -inf
+    @pytest.mark.parametrize(
+        "value, stabilization",
+        [
+            (np.nan, Stabilization.NONE),
+            (np.inf, Stabilization.CLIP),
+            (-np.inf, Stabilization.DROP_CLASSES),
+            (np.nan, Stabilization.CLIP),
+        ],
+        ids=["nan-none", "inf-clip", "-inf-drop", "nan-clip"],
+    )
+    def test_non_finite_stack_rejected(self, value, stabilization):
         stack = np.full((2, 3, 3), 0.5) - 0.5 * np.eye(3)
-        stack[1, 0, 1] = np.nan
-        with pytest.raises(ShapeError):
-            couple_stack(stack, CouplingConfig())
+        stack[1, 0, 1] = value
+        with pytest.raises(ShapeError) as exc:
+            couple_stack(stack, CouplingConfig(stabilization=stabilization))
+        assert str(exc.value) == "pairwise matrix contains non-finite entries"
+
+    # valid rows the fused 0/1 test must not pass: with tau = 1e-12 the lower 0
+    # survives the clip, as its mirror 1 - 1e-12 is unchanged; a 1 whose mirror
+    # 1e-10 is not 0 needs the max test, not the zero count
+    @pytest.mark.parametrize(
+        "trap, stabilization",
+        [
+            ([[0.0, 1.0 - 1e-12, 0.5], [0.0, 0.0, 0.5], [0.5, 0.5, 0.0]], Stabilization.CLIP),
+            ([[0.0, 1.0, 0.5], [1e-10, 0.0, 0.5], [0.5, 0.5, 0.0]], Stabilization.NONE),
+        ],
+        ids=["tiny-tau-clip", "one-beside-nonzero"],
+    )
+    def test_valid_singular_row_found(self, trap, stabilization):
+        trap = np.array(trap)
+        good = theta_map(Posterior([0.2, 0.3, 0.5])).entries
+        config = CouplingConfig(
+            method=Method.BAYES_COVARIANT, stabilization=stabilization, tau=1e-12
+        )
+        assert validate_pairwise(PairwiseLikelihoodMatrix(trap)) == []
+        for stack in (trap[None], np.array([good, trap])):
+            coupled = couple_stack(stack, config)
+            assert type(coupled.errors[-1]) is SingularityError
+            assert coupled.errors[:-1] == (None,) * (len(stack) - 1)
+
+    # a non-finite solution is caught with the negative ones, so a row without
+    # an error is always a posterior
+    def test_solution_off_the_simplex_fails_its_row_only(self, monkeypatch):
+        solutions = np.array([
+            [np.nan, 0.5, 0.5, 0.0],
+            [-1e-3, 0.5, 0.501, 0.0],
+            [np.inf, 0.5, 0.5, 0.0],
+            [0.2, 0.3, 0.5, 0.0],
+        ])  # fmt: skip
+        monkeypatch.setattr(coupling, "_solve_augmented", lambda aug, errors: solutions.copy())
+        stack = np.repeat(theta_map(Posterior([0.2, 0.3, 0.5])).entries[None], 4, axis=0)
+        coupled = couple_stack(stack, CouplingConfig())
+        assert [str(e) for e in coupled.errors[:3]] == [
+            "direct solve left the simplex: min p = nan, max p = nan",
+            "direct solve left the simplex: min p = -1.000e-03, max p = 5.010e-01",
+            "direct solve left the simplex: min p = 5.000e-01, max p = inf",
+        ]
+        assert coupled.errors[3] is None
+        np.testing.assert_array_equal(coupled.probs[3], [0.2, 0.3, 0.5])
 
     def test_singular_system_fails_its_row_only(self):
         aug = np.ones((2, 3, 3))

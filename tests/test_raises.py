@@ -15,6 +15,7 @@ from plmkit import (
     ShapeError,
     SingularityError,
     accuracy,
+    calibrate_threshold,
     confusion_matrix,
     distance_bc,
     pairwise_accuracy,
@@ -52,6 +53,8 @@ RAISES = [
     # the clip it is measured with zeroes the diagonal and keeps unclipped pairs
     ("distance_bc invalid matrix", lambda path: distance_bc(INVALID),
      InvalidDistributionError, "complement violation at (0,1): r_ij + r_ji = 0.75, expected 1"),
+    ("calibrate_threshold NaN", lambda path: calibrate_threshold([0.2, np.nan, 0.1], 0.5),
+     ValueError, "distance nan is not finite and non-negative"),
     ("couple_stack 2-D", lambda path: couple_stack(np.full((3, 3), 0.5), CouplingConfig()),
      ShapeError, "expected an (N, c, c) stack with c >= 2, got shape (3, 3)"),
     ("stabilize_clip tau", lambda path: stabilize_clip(VALID, 0.7),

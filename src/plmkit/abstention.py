@@ -45,11 +45,18 @@ def sureness_stack(stack: np.ndarray, config: CouplingConfig) -> CoupledStack:
     return couple_stack(stack, _measured(config.method, config.tau))
 
 
-def sureness(matrix: PairwiseLikelihoodMatrix, config: CouplingConfig) -> float:
-    """Distance appropriate to the configured coupling method."""
+def _coupled_distance(
+    matrix: PairwiseLikelihoodMatrix, config: CouplingConfig
+) -> tuple[CoupledStack, float]:
+    """The distance's coupling of one matrix, and the distance."""
     coupled = sureness_stack(matrix.entries[None], config)
     coupled.raise_first()
-    return float(coupled.residual[0])
+    return coupled, float(coupled.residual[0])
+
+
+def sureness(matrix: PairwiseLikelihoodMatrix, config: CouplingConfig) -> float:
+    """Distance appropriate to the configured coupling method."""
+    return _coupled_distance(matrix, config)[1]
 
 
 def distance_wlw(matrix: PairwiseLikelihoodMatrix) -> float:
@@ -91,13 +98,10 @@ def abstaining_predict(
     """Couple the matrix, or abstain when its manifold distance exceeds the threshold."""
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    measured = _measured(config.method, config.tau)
-    coupled = couple_stack(matrix.entries[None], measured)
-    coupled.raise_first()
-    d = float(coupled.residual[0])
+    coupled, d = _coupled_distance(matrix, config)
     if d > threshold:
         return Abstain(distance=d)
     # the distance's own coupling is the answer when it runs the configured one
-    if config.stabilization is measured.stabilization:
+    if config.stabilization is _measured(config.method, config.tau).stabilization:
         return coupled.posterior(0)
     return couple(matrix, config)

@@ -180,10 +180,15 @@ def _wlw_stack(m: np.ndarray, errors: dict) -> tuple[np.ndarray, np.ndarray]:
     return p, _delta2(m, p)
 
 
+# 1 / x overflows for x at or below this, so the log-odds of such an entry is
+# infinite as computed: it counts as 0
+_LOG_ODDS_FLOOR = 1.0 / np.finfo(float).max
+
+
 def _singular_rows(stack: np.ndarray) -> np.ndarray:
     """Rows with an off-diagonal entry at 0 or 1, where the log-odds map diverges."""
     off = off_diagonal(stack.shape[-1])
-    return np.any(off & ((stack <= 0.0) | (stack >= 1.0)), axis=(1, 2))
+    return np.any(off & ((stack <= _LOG_ODDS_FLOOR) | (stack >= 1.0)), axis=(1, 2))
 
 
 _SINGULAR = "pairwise entry at 0 or 1: log-odds map diverges (apply clip stabilization)"
@@ -243,10 +248,12 @@ def _couple_method(m: np.ndarray, method: Method, errors: dict) -> tuple[np.ndar
     for row, violations in pairwise_violations(m).items():
         errors[row] = InvalidDistributionError("; ".join(violations))
     # with every row valid, entries lie in [0, 1] and diagonals are zero, so no
-    # row is singular when no entry is 1 and only the n*c diagonal entries are 0
+    # row is singular when no entry is 1 and only the n*c diagonal entries are
+    # at or below the log-odds floor
     n, c = m.shape[:2]
     if method is Method.BAYES_COVARIANT and (
-        errors or not (m.max(initial=0.0) < 1.0 and np.count_nonzero(m) == n * c * (c - 1))
+        errors
+        or not (m.max(initial=0.0) < 1.0 and np.count_nonzero(m <= _LOG_ODDS_FLOOR) == n * c)
     ):
         for row in np.nonzero(_singular_rows(m))[0]:
             errors.setdefault(int(row), SingularityError(_SINGULAR))

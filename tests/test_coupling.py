@@ -156,7 +156,7 @@ class TestCoupleWlw:
     @given(st.data(), st.integers(min_value=2, max_value=12))
     def test_direct_solve_stays_on_simplex(self, data, c):
         entry = st.one_of(
-            st.sampled_from([0.0, 1.0, 1e-300, 1e-12, 1e-9, 1.0 - 1e-9, 1.0 - 1e-12]),
+            st.sampled_from([0.0, 1.0, 1e-310, 1e-300, 1e-12, 1e-9, 1.0 - 1e-9, 1.0 - 1e-12]),
             st.floats(min_value=0.0, max_value=1.0),
         )
         upper = data.draw(st.lists(entry, min_size=c * (c - 1) // 2, max_size=c * (c - 1) // 2))
@@ -191,6 +191,21 @@ class TestCoupleBc:
         )
         with pytest.raises(SingularityError):
             couple_bc(m)
+
+    # 1 / x overflows for x <= 1 / DBL_MAX: such an entry's log-odds is infinite
+    # as computed, so it is singular like a 0; the next double up is not
+    def test_subnormal_entry_singular(self):
+        floor = 1.0 / np.finfo(float).max
+        for low in (5e-324, 1e-310, floor):
+            m = PairwiseLikelihoodMatrix([[0.0, low, 0.5], [1.0 - 1e-10, 0.0, 0.5], [0.5, 0.5, 0.0]])
+            with pytest.raises(SingularityError):
+                couple_bc(m)
+            with pytest.raises(SingularityError):
+                theta_of(m)
+        above = np.nextafter(floor, 1.0)
+        m = PairwiseLikelihoodMatrix([[0.0, above, 0.5], [1.0 - 1e-10, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        assert np.all(np.isfinite(theta_of(m)))
+        assert couple_bc(m).probs[1] == pytest.approx(1.0)
 
 
 class TestDelta2:
@@ -376,7 +391,7 @@ def _stack_row(data, c):
     """One matrix: interior, boundary (0/1) and drop-triggering entries, and
     sometimes a broken complement."""
     entry = st.one_of(
-        st.sampled_from([0.0, 1.0, 1e-5, 1.0 - 1e-5, 0.5]),
+        st.sampled_from([0.0, 1.0, 1e-310, 1e-5, 1.0 - 1e-5, 0.5]),
         st.floats(min_value=0.0, max_value=1.0),
     )
     upper = data.draw(st.lists(entry, min_size=c * (c - 1) // 2, max_size=c * (c - 1) // 2))
@@ -399,8 +414,14 @@ def _seeded_row(rng, c):
     if rng.random() < 0.5:
         upper = np.where(rng.random(upper.size) < 0.5, rng.random(upper.size), upper)
     edge = rng.random(upper.size) < 0.1
-    upper[edge] = rng.choice([0.0, 1.0, 1e-300, 1e-5, 1.0 - 1e-12, 0.5], size=edge.sum())
+    upper[edge] = rng.choice(
+        [0.0, 1.0, 5e-324, 1e-310, 1e-300, 1e-5, 1.0 - 1e-12, 0.5], size=edge.sum()
+    )
     m = from_upper(upper[None], c)[0]
+    if rng.random() < 0.1:
+        # a subnormal entry whose complement is inside the tolerance but not 1
+        k = rng.integers(upper.size)
+        m[rows[k], cols[k]], m[cols[k], rows[k]] = rng.choice([5e-324, 1e-310]), 1.0 - 1e-10
     if rng.random() < 0.2:
         k = rng.integers(upper.size)
         m[cols[k], rows[k]] = (m[cols[k], rows[k]] + 0.25) % 1.0
@@ -490,8 +511,9 @@ class TestCoupleStack:
         [
             ([[0.0, 1.0 - 1e-12, 0.5], [0.0, 0.0, 0.5], [0.5, 0.5, 0.0]], Stabilization.CLIP),
             ([[0.0, 1.0, 0.5], [1e-10, 0.0, 0.5], [0.5, 0.5, 0.0]], Stabilization.NONE),
+            ([[0.0, 1e-310, 0.5], [1.0 - 1e-10, 0.0, 0.5], [0.5, 0.5, 0.0]], Stabilization.NONE),
         ],
-        ids=["tiny-tau-clip", "one-beside-nonzero"],
+        ids=["tiny-tau-clip", "one-beside-nonzero", "subnormal-beside-complement"],
     )
     def test_valid_singular_row_found(self, trap, stabilization):
         trap = np.array(trap)

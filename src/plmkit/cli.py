@@ -14,6 +14,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    BinaryPrediction,
     CouplingConfig,
     Method,
     PlmError,
@@ -82,7 +83,7 @@ def cmd_couple(args) -> int:
 
 def cmd_correct(args) -> int:
     from .ensemble import CorrectionPatch, correct_stack
-    from .metrics import accuracy
+    from .metrics import accuracy, pairwise_accuracy
 
     ids, probs = read_posterior_stack(args.posteriors)
     if not ids:
@@ -97,11 +98,10 @@ def cmd_correct(args) -> int:
         # rejected by accuracy() below
         pair_accs = []
         for i, j, q in triples:
-            pair_samples = [sid for sid in ids if truth.get(sid) in (i, j)]
-            if pair_samples:
-                predicted = i if q >= 0.5 else j
-                hits = sum(1 for sid in pair_samples if truth[sid] == predicted)
-                pair_accs.append(hits / len(pair_samples))
+            prediction = BinaryPrediction(i, j, q)
+            pair_preds = [(sid, prediction) for sid in ids if truth.get(sid) in (i, j)]
+            if pair_preds:
+                pair_accs.append(pairwise_accuracy(pair_preds, labels))
         pair_acc = sum(pair_accs) / len(pair_accs) if pair_accs else float("nan")
         for mname in _METHODS:
             coupled = couple_stack(patched, CouplingConfig(method=Method(mname)))

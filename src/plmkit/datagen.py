@@ -22,6 +22,12 @@ from .core import (
 )
 from .coupling import theta_map
 
+# GLM fits: at most _MAX_ITERATIONS Newton steps, each halved at most _MAX_HALVINGS
+# times, converged once one moves no weight by more than _STEP_TOLERANCE; cloglog
+# clips eta where exp(eta) would underflow or overflow
+_MAX_ITERATIONS, _MAX_HALVINGS, _STEP_TOLERANCE = 100, 30, 1e-8
+_CLOGLOG_ETA = (-700.0, 30.0)
+
 
 class Link(enum.Enum):
     LOGIT = "logit"
@@ -49,8 +55,10 @@ class BlobSpec:
         object.__setattr__(self, "means", means)
         if means.shape != (self.c, self.dim):
             raise ValueError(f"means must have shape ({self.c},{self.dim}), got {means.shape}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not np.isfinite(means).all():
+            raise ValueError("means must be finite")
+        if not 0.0 < self.scale < np.inf:
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
         if self.n_per_class < 1:
             raise ValueError("n_per_class must be >= 1")
 
@@ -66,13 +74,12 @@ class GlmSpec:
     link: Link = Link.LOGIT
     epsilon_labels: bool = False
     epsilon: float | None = None
-    learning_rate: float = 0.1
-    max_epochs: int = 5000
-    tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.epsilon is not None and not (0.0 < self.epsilon < 0.5):
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
+        if self.epsilon is not None and not self.epsilon_labels:
+            raise ValueError("epsilon is given but epsilon_labels is False")
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,7 @@ class FittedGlm:
     intercept: float
     link: Link
     converged: bool
-    epochs: int
+    iterations: int
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         eta = np.atleast_2d(features) @ self.weights + self.intercept
@@ -91,26 +98,33 @@ class FittedGlm:
 
 
 def _inverse_link(eta: np.ndarray, link: Link) -> np.ndarray:
+    """P(class 1) at the linear predictor eta; no overflow at any finite eta."""
     if link is Link.LOGIT:
-        return 1.0 / (1.0 + np.exp(-eta))
-    return 1.0 - np.exp(-np.exp(np.clip(eta, None, 30.0)))
+        e = np.exp(-np.abs(eta))
+        return np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+    return -np.expm1(-np.exp(np.clip(eta, *_CLOGLOG_ETA)))
+
+
+def _terms(eta: np.ndarray, t: np.ndarray, link: Link) -> tuple[float, np.ndarray, np.ndarray]:
+    """The log-likelihood of targets t, and per row its first derivative in eta and
+    its negated second derivative (the observed information), all free of cancellation."""
+    if link is Link.LOGIT:
+        mu, nu = _inverse_link(eta, link), _inverse_link(-eta, link)  # nu = 1 - mu
+        return np.sum(t * eta - np.logaddexp(0.0, eta)), t * nu - (1.0 - t) * mu, mu * nu
+    lam = np.exp(np.clip(eta, *_CLOGLOG_ETA))  # -log(1 - mu)
+    mu = -np.expm1(-lam)
+    odds = np.exp(-lam) / mu  # (1 - mu) / mu
+    loglik = np.sum(t * np.log(mu) - (1.0 - t) * lam)
+    return loglik, lam * (t * odds - (1.0 - t)), lam * (1.0 - t + t * odds * (lam / mu - 1.0))
 
 
 def generate_blobs(spec: BlobSpec) -> tuple[np.ndarray, LabeledBatch]:
-    """Draw n_per_class points from each class blob; deterministic given seed."""
+    """Draw n_per_class points per class blob in place (one array); deterministic given seed."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    features = np.concatenate(
-        [
-            spec.means[k] + spec.scale * rng.standard_normal((spec.n_per_class, spec.dim))
-            for k in range(spec.c)
-        ]
-    )
-    samples = [
-        (f"s{k * spec.n_per_class + t}", k)
-        for k in range(spec.c)
-        for t in range(spec.n_per_class)
-    ]
-    return features, LabeledBatch(samples=tuple(samples), c=spec.c)
+    features = rng.standard_normal((spec.c, spec.n_per_class, spec.dim))
+    np.add(spec.means[:, None, :], np.multiply(features, spec.scale, out=features), out=features)
+    samples = tuple((f"s{s}", s // spec.n_per_class) for s in range(spec.c * spec.n_per_class))
+    return features.reshape(-1, spec.dim), LabeledBatch(samples=samples, c=spec.c)
 
 
 def bayes_posterior_stack(spec: BlobSpec, features: np.ndarray) -> np.ndarray:
@@ -127,40 +141,41 @@ def bayes_posterior_blobs(spec: BlobSpec, x: np.ndarray) -> Posterior:
     return Posterior(bayes_posterior_stack(spec, np.asarray(x, dtype=float)[None, :])[0])
 
 
-def train_binary_glm(
-    features: np.ndarray, labels: np.ndarray, spec: GlmSpec
-) -> FittedGlm:
-    """Fit the GLM by full-batch gradient ascent on the log-likelihood."""
+def train_binary_glm(features: np.ndarray, labels: np.ndarray, spec: GlmSpec) -> FittedGlm:
+    """Fit the GLM by Newton's method, halving a step until the log-likelihood does not fall."""
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
+    if x.ndim != 2 or y.shape != x.shape[:1]:
+        raise ValueError(f"need 2-D features with one row per label, got {x.shape} and {y.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("features contain non-finite entries")
     if set(np.unique(y)) != {0.0, 1.0}:
         raise ValueError("need both classes present with labels in {0, 1}")
-    t = y
-    if spec.epsilon_labels:
-        eps = spec.epsilon if spec.epsilon is not None else 1.0 / y.size
-        t = np.where(y > 0.5, 1.0 - eps, eps)
-    n, dim = x.shape
-    w = np.zeros(dim)
-    b = 0.0
-    tiny = 1e-12
-    converged = False
-    epochs = 0
-    for epochs in range(1, spec.max_epochs + 1):
-        eta = x @ w + b
-        p = np.clip(_inverse_link(eta, spec.link), tiny, 1.0 - tiny)
-        if spec.link is Link.LOGIT:
-            dl_deta = t - p
-        else:
-            dp_deta = np.exp(np.clip(eta, None, 30.0) - np.exp(np.clip(eta, None, 30.0)))
-            dl_deta = (t / p - (1.0 - t) / (1.0 - p)) * dp_deta
-        grad_w = x.T @ dl_deta / n
-        grad_b = dl_deta.mean()
-        w += spec.learning_rate * grad_w
-        b += spec.learning_rate * grad_b
-        if np.sqrt(np.sum(grad_w**2) + grad_b**2) < spec.tolerance:
+    eps = (spec.epsilon or 1.0 / y.size) if spec.epsilon_labels else 0.0
+    t = np.where(y > 0.5, 1.0 - eps, eps)
+    design = np.column_stack([x, np.ones(len(x))])
+    beta = np.zeros(design.shape[1])
+    loglik, score, info = _terms(design @ beta, t, spec.link)
+    converged, iterations = False, 0
+    for iterations in range(1, _MAX_ITERATIONS + 1):
+        try:
+            step = np.linalg.solve((design.T * info) @ design, design.T @ score)
+        except np.linalg.LinAlgError:  # collinear features, or a fully saturated fit
+            break
+        if np.abs(step).max() <= _STEP_TOLERANCE:
+            beta += step
             converged = True
             break
-    return FittedGlm(weights=w, intercept=b, link=spec.link, converged=converged, epochs=epochs)
+        for _ in range(_MAX_HALVINGS):
+            trial = _terms(design @ (beta + step), t, spec.link)
+            if trial[0] >= loglik:
+                break
+            step /= 2.0
+        else:  # no fraction of the step keeps the log-likelihood from falling
+            break
+        beta += step
+        loglik, score, info = trial
+    return FittedGlm(beta[:-1], float(beta[-1]), spec.link, converged, iterations)
 
 
 def perturb_manifold(p: Posterior, noise_scale: float, seed: int) -> PairwiseLikelihoodMatrix:

@@ -215,6 +215,16 @@ def random_offmanifold(rng: np.random.Generator, c: int) -> np.ndarray:
     return m
 
 
+def glm_loglik_ref(beta: np.ndarray, x: np.ndarray, t: np.ndarray, link: str) -> float:
+    """Log-likelihood of a binary GLM with weights beta[:-1] and intercept
+    beta[-1] at targets t in [0, 1].  Cloglog's log(1 - mu) is written -exp(eta):
+    the form log(1 - mu) loses the digits a finite-difference gradient needs."""
+    eta = x @ beta[:-1] + beta[-1]
+    if link == "logit":
+        return float(np.sum(-t * np.log1p(np.exp(-eta)) - (1.0 - t) * np.log1p(np.exp(eta))))
+    return float(np.sum(t * np.log(1.0 - np.exp(-np.exp(eta))) - (1.0 - t) * np.exp(eta)))
+
+
 def bayes_posterior_ref(means: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
     """Blob posterior of one point, as it was computed one point at a time."""
     d2 = np.sum((means - x[None, :]) ** 2, axis=1)

@@ -497,6 +497,21 @@ class TestSynth:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--scale", "nan"], "scale must be finite and positive, got nan"),
+            (["--scale", "inf"], "scale must be finite and positive, got inf"),
+            (["--separation", "nan"], "means must be finite"),
+        ],
+    )
+    def test_non_finite_spec_rejected(self, tmp_path, capsys, flags, message):
+        """Such a spec would write posterior rows that plmkit's reader rejects."""
+        post, labels, feats = (tmp_path / name for name in ("p.csv", "l.csv", "f.csv"))
+        assert main(["synth", str(post), str(labels), "--features", str(feats), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVersionFlag:
     def test_version_mentions_format(self, capsys):

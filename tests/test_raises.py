@@ -24,6 +24,7 @@ from plmkit import (
     stabilize_clip,
     stabilize_drop,
     theta_of,
+    train_binary_glm,
 )
 from plmkit.coupling import couple_stack
 from plmkit.ensemble import recombine_stack, summarize_stack
@@ -70,8 +71,29 @@ RAISES = [
     ("BlobSpec no dimension", lambda path: BlobSpec(c=2, dim=0, means=np.zeros((2, 0)), scale=1.0,
                                                     n_per_class=1, seed=0),
      ValueError, "dim must be >= 1, got 0"),
+    ("BlobSpec scale nan", lambda path: BlobSpec(c=2, dim=1, means=np.zeros((2, 1)), scale=np.nan,
+                                                 n_per_class=1, seed=0),
+     ValueError, "scale must be finite and positive, got nan"),
+    ("BlobSpec scale inf", lambda path: BlobSpec(c=2, dim=1, means=np.zeros((2, 1)), scale=np.inf,
+                                                 n_per_class=1, seed=0),
+     ValueError, "scale must be finite and positive, got inf"),
+    ("BlobSpec means not finite", lambda path: BlobSpec(c=2, dim=1, means=[[0.0], [np.nan]],
+                                                        scale=1.0, n_per_class=1, seed=0),
+     ValueError, "means must be finite"),
     ("GlmSpec epsilon", lambda path: GlmSpec(epsilon=0.7),
      ValueError, "epsilon must be in (0, 0.5), got 0.7"),
+    # an epsilon without epsilon_labels would be ignored
+    ("GlmSpec epsilon without labels", lambda path: GlmSpec(epsilon=0.1),
+     ValueError, "epsilon is given but epsilon_labels is False"),
+    ("train_binary_glm 1-D features", lambda path: train_binary_glm(
+        np.zeros(4), np.array([0, 1, 0, 1]), GlmSpec()),
+     ValueError, "need 2-D features with one row per label, got (4,) and (4,)"),
+    ("train_binary_glm row count", lambda path: train_binary_glm(
+        np.zeros((4, 2)), np.array([0, 1, 0]), GlmSpec()),
+     ValueError, "need 2-D features with one row per label, got (4, 2) and (3,)"),
+    ("train_binary_glm non-finite features", lambda path: train_binary_glm(
+        np.array([[0.0], [np.nan]]), np.array([0, 1]), GlmSpec()),
+     ValueError, "features contain non-finite entries"),
     ("perturb_manifold zero entry", lambda path: perturb_manifold(Posterior([0.0, 1.0]), 0.1, 0),
      SingularityError, "posterior must be strictly positive"),
     ("recombine_stack one source", lambda path: recombine_stack(np.zeros((1, 1, 2, 2)), 3, [0]),

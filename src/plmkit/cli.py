@@ -226,9 +226,10 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     features, batch = generate_blobs(spec)
+    probs = bayes_posterior_stack(spec, features)  # raises before any file is written
     ids = [sid for sid, _ in batch.samples]
     write_labels(args.labels, batch)
-    write_posterior_stack(args.posteriors, ids, bayes_posterior_stack(spec, features))
+    write_posterior_stack(args.posteriors, ids, probs)
     if args.features:
         write_features(args.features, ids, features)
     return 0

@@ -41,10 +41,9 @@ class EmptyResultError(PlmError):
     """Class dropping removed every class; no coupling is possible."""
 
 
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class Posterior:
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _frozen(self.probs))
+        object.__setattr__(self, "probs", _read_only(np.array(self.probs, dtype=float)))
         p = self.probs
         if p.ndim != 1 or p.size < 2:
             raise ShapeError(f"posterior must be a vector of length >= 2, got shape {p.shape}")
@@ -76,7 +75,7 @@ class Posterior:
 def _known_posterior(probs: np.ndarray) -> Posterior:
     """A frozen ``Posterior`` of a row known to be on the simplex, not checked again."""
     p = object.__new__(Posterior)
-    object.__setattr__(p, "probs", _frozen(probs))
+    object.__setattr__(p, "probs", _read_only(np.array(probs, dtype=float)))
     return p
 
 
@@ -92,7 +91,7 @@ class PairwiseLikelihoodMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
+        object.__setattr__(self, "entries", _read_only(np.array(self.entries, dtype=float)))
         m = self.entries
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"pairwise matrix must be square, got shape {m.shape}")
@@ -135,10 +134,9 @@ class CouplingConfig:
     rho: float = 1e-3
 
     def __post_init__(self):
-        if not (0.0 < self.tau < 0.5):
-            raise ValueError(f"tau must be in (0, 0.5), got {self.tau}")
-        if not (0.0 < self.rho < 0.5):
-            raise ValueError(f"rho must be in (0, 0.5), got {self.rho}")
+        for name, value in (("tau", self.tau), ("rho", self.rho)):
+            if not (0.0 < value < 0.5):
+                raise ValueError(f"{name} must be in (0, 0.5), got {value}")
 
 
 @dataclass(frozen=True)
@@ -211,11 +209,6 @@ def posterior_violations(probs: np.ndarray) -> dict[int, str]:
     return out
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @functools.lru_cache(maxsize=None)
 def triu_index(c: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the strict upper triangle of a c x c matrix.
@@ -268,18 +261,22 @@ def pairwise_violations(stack: np.ndarray) -> dict[int, list[str]]:
     Returns the violation messages of each invalid matrix, keyed by its row;
     valid rows are absent.  One fused test over the whole stack finds whether
     any row fails; only then are the per-entry masks built, and messages are
-    formatted for the failing rows.  The input is never mutated.
+    formatted for the failing rows.  A stack with a non-finite entry raises
+    ``ShapeError``.  The input is never mutated.
     """
     c = stack.shape[-1]
     stack = np.ascontiguousarray(stack)
+    # NaN fails both bounds, so only a stack outside [0, 1] pays the finiteness pass
+    bounded = stack.min(initial=0.0) >= 0.0 and stack.max(initial=1.0) <= 1.0
+    if not (bounded or np.isfinite(stack).all()):
+        raise ShapeError("pairwise matrix contains non-finite entries")
     s = stack + stack.swapaxes(1, 2)
     diagonals(s)[...] = 1.0
-    # a nonzero diagonal fails by itself, so the range test may span it; NaN
-    # fails every test; max(s) - 1 and 1 - min(s) bound |s - 1| exactly
+    # a nonzero diagonal fails by itself, so the range test may span it;
+    # max(s) - 1 and 1 - min(s) bound |s - 1| exactly
     if (
-        not np.count_nonzero(diagonals(stack))
-        and stack.min(initial=0.0) >= 0.0
-        and stack.max(initial=1.0) <= 1.0
+        bounded
+        and not np.count_nonzero(diagonals(stack))
         and s.max(initial=1.0) - 1.0 <= SYM_TOL
         and 1.0 - s.min(initial=1.0) <= SYM_TOL
     ):

@@ -239,29 +239,21 @@ def _bc_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _couple_method(m: np.ndarray, method: Method, errors: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a stack, then couple it; failing rows get an entry in ``errors``.
+    """Couple a stack of valid matrices; failing rows get an entry in ``errors``.
 
-    A row that fails validation (or, for BC, has an entry at 0 or 1) is
-    replaced by the uniform matrix before the solve, so it cannot disturb
-    the others.
+    For BC, a row with an entry at 0 or 1 is replaced by the uniform matrix
+    before the solve, so it cannot disturb the others.
     """
-    for row, violations in pairwise_violations(m).items():
-        errors[row] = InvalidDistributionError("; ".join(violations))
-    # with every row valid, entries lie in [0, 1] and diagonals are zero, so no
-    # row is singular when no entry is 1 and only the n*c diagonal entries are
-    # at or below the log-odds floor
-    n, c = m.shape[:2]
-    if method is Method.BAYES_COVARIANT and (
-        errors
-        or not (m.max(initial=0.0) < 1.0 and np.count_nonzero(m <= _LOG_ODDS_FLOOR) == n * c)
-    ):
-        for row in np.nonzero(_singular_rows(m))[0]:
-            errors.setdefault(int(row), SingularityError(_SINGULAR))
-    if errors:
-        m = m.copy()
-        m[list(errors)] = 0.5 * off_diagonal(c)
     if method is Method.WU_LIN_WENG:
         return _wlw_stack(m, errors)
+    # valid rows have entries in [0, 1] and zero diagonals: none is singular when
+    # no entry is 1 and only the n*c diagonal entries are at or below the floor
+    n, c = m.shape[:2]
+    if not (m.max(initial=0.0) < 1.0 and np.count_nonzero(m <= _LOG_ODDS_FLOOR) == n * c):
+        singular = np.flatnonzero(_singular_rows(m))
+        errors.update((int(row), SingularityError(_SINGULAR)) for row in singular)
+        m = m.copy()
+        m[singular] = 0.5 * off_diagonal(c)
     return _bc_stack(m)
 
 
@@ -296,8 +288,8 @@ _ALL_DROPPED = "every class fell below rho; nothing to couple"
 def _couple_dropped(
     stack: np.ndarray, config: CouplingConfig, errors: dict
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Couple each set of rows that keep the same classes, in reduced form;
-    dropped classes get zero mass."""
+    """Couple each set of rows that keep the same classes in reduced form, which
+    is valid where the row is; dropped classes get zero mass."""
     n, c = stack.shape[:2]
     masks, group, counts = np.unique(
         _survivors(stack, config.rho), axis=0, return_inverse=True, return_counts=True
@@ -348,26 +340,29 @@ class CoupledStack(NamedTuple):
 
 
 def couple_stack(stack: np.ndarray, config: CouplingConfig) -> CoupledStack:
-    """Apply the configured stabilization, then the configured coupling method,
-    to every matrix of an (N, c, c) stack.
+    """Validate the raw (N, c, c) stack, then apply the configured stabilization,
+    then the configured coupling method, to every matrix.
 
-    One row's failure never affects another: each row carries its own error,
-    of the type and text the single-matrix functions raise.  With class
-    dropping, rows are grouped by their survivor set and each group is
-    coupled in reduced form.
+    A non-finite entry raises ``ShapeError``; an invalid row fails with
+    ``InvalidDistributionError`` under every stabilization.  One row's failure
+    never affects another: each row carries its own error, of the type and text
+    the single-matrix functions raise.  With class dropping, rows are grouped
+    by their survivor set and each group is coupled in reduced form.
     """
     # reductions sum in memory order: a C-ordered stack makes every row's
     # result independent of the rows beside it
     stack = np.ascontiguousarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 2:
         raise ShapeError(f"expected an (N, c, c) stack with c >= 2, got shape {stack.shape}")
-    # NaN fails both bounds, so only a stack outside [0, 1] pays the finiteness pass
-    bounded = stack.min(initial=0.0) >= 0.0 and stack.max(initial=1.0) <= 1.0
-    if not (bounded or np.isfinite(stack).all()):
-        raise ShapeError("pairwise matrix contains non-finite entries")
+    errors: dict[int, PlmError] = {
+        row: InvalidDistributionError("; ".join(violations))
+        for row, violations in pairwise_violations(stack).items()
+    }
+    if errors:
+        stack = stack.copy()
+        stack[list(errors)] = 0.5 * off_diagonal(stack.shape[1])
     if config.stabilization is Stabilization.CLIP:
         stack = _clip_stack(stack, config.tau)
-    errors: dict[int, PlmError] = {}
     if config.stabilization is Stabilization.DROP_CLASSES:
         probs, residual = _couple_dropped(stack, config, errors)
     else:
@@ -400,8 +395,7 @@ def stabilize_clip(matrix: PairwiseLikelihoodMatrix, tau: float) -> PairwiseLike
     The upper triangle is clipped and the lower triangle is set to the
     complements, so the result satisfies the pair-sum invariant exactly.
     """
-    if not (0.0 < tau < 0.5):
-        raise ValueError(f"tau must be in (0, 0.5), got {tau}")
+    CouplingConfig(tau=tau)  # rejects a tau outside its band
     return PairwiseLikelihoodMatrix(_clip_stack(matrix.entries[None], tau)[0])
 
 
@@ -414,8 +408,7 @@ def stabilize_drop(
     indices.  Raises ``EmptyResultError`` if nothing survives; a single
     survivor yields ``(None, [k])``.
     """
-    if not (0.0 < rho < 0.5):
-        raise ValueError(f"rho must be in (0, 0.5), got {rho}")
+    CouplingConfig(rho=rho)  # rejects a rho outside its band
     survivors = np.nonzero(_survivors(matrix.entries[None], rho)[0])[0].tolist()
     if not survivors:
         raise EmptyResultError(_ALL_DROPPED)

@@ -128,12 +128,17 @@ def generate_blobs(spec: BlobSpec) -> tuple[np.ndarray, LabeledBatch]:
 
 
 def bayes_posterior_stack(spec: BlobSpec, features: np.ndarray) -> np.ndarray:
-    """Exact class posteriors of the blob mixture under equal priors: (N, dim) -> (N, c)."""
+    """Exact class posteriors of the blob mixture under equal priors: (N, dim) -> (N, c);
+    ``ValueError`` where a squared distance over 2 * scale**2 overflows them to NaN."""
     x = np.asarray(features, dtype=float)
-    d2 = np.sum((spec.means[None, :, :] - x[:, None, :]) ** 2, axis=2)
-    logp = -d2 / (2.0 * spec.scale**2)
-    w = np.exp(logp - logp.max(axis=1, keepdims=True))
-    return w / w.sum(axis=1, keepdims=True)
+    with np.errstate(all="ignore"):
+        d2 = np.sum((spec.means[None, :, :] - x[:, None, :]) ** 2, axis=2)
+        logp = -d2 / (2.0 * spec.scale**2)
+        w = np.exp(logp - logp.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+    if not np.isfinite(w).all():
+        raise ValueError(f"posteriors are not finite at scale {spec.scale!r}")
+    return w
 
 
 def bayes_posterior_blobs(spec: BlobSpec, x: np.ndarray) -> Posterior:
@@ -142,7 +147,8 @@ def bayes_posterior_blobs(spec: BlobSpec, x: np.ndarray) -> Posterior:
 
 
 def train_binary_glm(features: np.ndarray, labels: np.ndarray, spec: GlmSpec) -> FittedGlm:
-    """Fit the GLM by Newton's method, halving a step until the log-likelihood does not fall."""
+    """Fit the GLM by Newton's method, halving a step until the log-likelihood does not fall
+    by more than the rounding of its sum (one ulp per row), which at the optimum it can."""
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     if x.ndim != 2 or y.shape != x.shape[:1]:
@@ -166,9 +172,10 @@ def train_binary_glm(features: np.ndarray, labels: np.ndarray, spec: GlmSpec) ->
             beta += step
             converged = True
             break
+        rounding = t.size * np.spacing(abs(loglik))
         for _ in range(_MAX_HALVINGS):
             trial = _terms(design @ (beta + step), t, spec.link)
-            if trial[0] >= loglik:
+            if trial[0] >= loglik - rounding:
                 break
             step /= 2.0
         else:  # no fraction of the step keeps the log-likelihood from falling

@@ -153,10 +153,11 @@ def _repeated(*keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _repeated_ids(ids: list[str]) -> np.ndarray:
-    """Mask of the rows whose sample_id appeared on an earlier row."""
+def _unique_ids(ids: list[str]):
+    """The check that no row repeats the sample_id of an earlier row."""
     first: dict[str, int] = {}
-    return np.array([first.setdefault(sid, k) != k for k, sid in enumerate(ids)], dtype=bool)
+    repeated = np.array([first.setdefault(sid, k) != k for k, sid in enumerate(ids)], dtype=bool)
+    return repeated, lambda k: f"duplicate sample_id {ids[k]!r}"
 
 
 def _raise(path, *errors) -> None:
@@ -217,10 +218,6 @@ def _read_table(path, header: str, dtype) -> _Table:
     return _Table(path, numbers[0], numbers[1:], lines[1:], dtype)
 
 
-def _vectors(name: str, n: int) -> np.dtype:
-    return np.dtype([("sample_id", object), (name, np.float64, (n,))])
-
-
 def _pair_check(i: np.ndarray, j: np.ndarray):
     return (i < 0) | (i >= j), lambda k: f"need 0 <= i < j, got ({i[k]},{j[k]})"
 
@@ -272,6 +269,26 @@ def _write_vectors(path, prefix: str, ids: list[str], values: np.ndarray, commen
     _write_table(path, header, (field + row for field in _quoted(ids)), values, comments)
 
 
+def _read_vectors(path, prefix: str, one_column=None, check=None) -> tuple[list[str], np.ndarray]:
+    """The sample_ids and (N, n) vectors, n >= 1, of a file in ``_write_vectors``'s
+    layout; ``one_column`` is why a file with rows and n = 1 is rejected.  Every
+    sample_id is unique, and ``check`` maps the vectors to each bad row's reason."""
+    table = _read_table(
+        path, f"sample_id,{prefix}0,...",
+        lambda header: np.dtype([("sample_id", object), ("v", np.float64, (len(header) - 1,))])
+        if len(header) > 1 and header == _series("sample_id", prefix, len(header) - 1) else None,
+    )  # fmt: skip
+    if one_column and table.dtype["v"].shape[0] == 1 and table.lines:
+        raise FormatError(f"{path}:{table.head}: {one_column}")
+    ids = table.records["sample_id"].tolist()
+    values = np.ascontiguousarray(table.records["v"])
+    reasons = check(values) if check else {}
+    invalid = np.zeros(len(ids), dtype=bool)
+    invalid[list(reasons)] = True
+    table.check(_unique_ids(ids), (invalid, reasons.get))
+    return ids, values
+
+
 # -- posterior files: sample_id,p_0,...,p_{c-1} ------------------------------
 
 def write_posterior_stack(path, ids: list[str], probs: np.ndarray, failures=()) -> None:
@@ -285,22 +302,7 @@ def read_posterior_stack(path) -> tuple[list[str], np.ndarray]:
 
     Every row must be a valid posterior and every sample_id unique.
     """
-    table = _read_table(
-        path, "sample_id,p_0,...",
-        lambda header: _vectors("p", len(header) - 1)
-        if header == _series("sample_id", "p_", len(header) - 1) else None,
-    )  # fmt: skip
-    if table.dtype["p"].shape[0] < 2 and table.lines:
-        raise FormatError(f"{path}:{table.head}: need at least two probability columns")
-    ids = table.records["sample_id"].tolist()
-    probs = np.ascontiguousarray(table.records["p"])
-    violations = posterior_violations(probs)
-    invalid = np.zeros(len(ids), dtype=bool)
-    invalid[list(violations)] = True
-    table.check(
-        (_repeated_ids(ids), lambda k: f"duplicate sample_id {ids[k]!r}"), (invalid, violations.get)
-    )
-    return ids, probs
+    return _read_vectors(path, "p_", "need at least two probability columns", posterior_violations)
 
 
 # -- pairwise long files: sample_id,i,j,r_ij with i < j ----------------------
@@ -376,7 +378,7 @@ def read_labels(path, c: int | None = None) -> LabeledBatch:
         c = int(labels.max()) + 1 if labels.size else 2
     why = "label {} for sample {!r} outside [0, {})".format
     table.check(
-        (_repeated_ids(ids), lambda k: f"duplicate sample_id {ids[k]!r}"),
+        _unique_ids(ids),
         ((labels < 0) | (labels >= c), lambda k: why(labels[k], ids[k], c)),
     )
     return LabeledBatch(samples=tuple(zip(ids, labels.tolist())), c=c)
@@ -469,6 +471,7 @@ def read_summary_stack(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     place = np.full(n, c)
     place[np.flatnonzero(~footer)[: len(rows.records)]] = rows.records["class"]
     counts, empty = feet.records["excluded"], feet.records["empty"]
+    repeated, why_repeated = _unique_ids(list(sid))
 
     def expected(k):
         s = k % (c + 1)
@@ -483,7 +486,7 @@ def read_summary_stack(path) -> tuple[list[str], np.ndarray, np.ndarray]:
         ),
         table.error(
             ((place != slot) | (sid != sid[np.arange(n) - slot]), expected),
-            (_repeated_ids(list(sid)) & (slot == 0), lambda k: f"duplicate sample_id {sid[k]!r}"),
+            (repeated & (slot == 0), why_repeated),
         ),
         (table.numbers[-1], expected(n)) if n % (c + 1) else None,
     )
@@ -532,14 +535,7 @@ def write_features(path, sample_ids: list[str], features: np.ndarray) -> None:
 
 def read_features(path) -> tuple[list[str], np.ndarray]:
     """The sample_ids and the (N, dim) features of a feature file; sample_ids are unique."""
-    table = _read_table(
-        path, "sample_id,x_0,...",
-        lambda header: _vectors("x", len(header) - 1)
-        if len(header) > 1 and header == _series("sample_id", "x_", len(header) - 1) else None,
-    )  # fmt: skip
-    ids = table.records["sample_id"].tolist()
-    table.check((_repeated_ids(ids), lambda k: f"duplicate sample_id {ids[k]!r}"))
-    return ids, np.ascontiguousarray(table.records["x"])
+    return _read_vectors(path, "x_")
 
 
 # -- confusion matrix files: true\pred,0,...,c-1 -----------------------------

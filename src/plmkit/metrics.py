@@ -12,14 +12,24 @@ def argmax_predict(p: Posterior) -> int:
     return int(np.argmax(p.probs))
 
 
+def _labels_of(predictions: list, labels: LabeledBatch, cover: bool) -> list[int]:
+    """The label of each prediction's sample: sample_ids are unique and
+    labelled, and with ``cover`` every labelled sample is predicted."""
+    truth = labels.labels_by_id()
+    ids = [sid for sid, _ in predictions]
+    if len(set(ids)) < len(ids):
+        raise ValueError("prediction sample_ids are not unique")
+    if not truth.keys() >= set(ids) or (cover and len(ids) != len(truth)):
+        raise ValueError("prediction sample_ids do not match label sample_ids")
+    return [truth[sid] for sid in ids]
+
+
 def accuracy(predictions: list[tuple[str, int]], labels: LabeledBatch) -> float:
     """Fraction of correct predictions, matched to labels by sample_id."""
-    truth = labels.labels_by_id()
-    if {sid for sid, _ in predictions} != set(truth):
-        raise ValueError("prediction sample_ids do not match label sample_ids")
+    truth = _labels_of(predictions, labels, cover=True)
     if not predictions:
         raise ValueError("empty prediction list")
-    correct = sum(1 for sid, pred in predictions if pred == truth[sid])
+    correct = sum(1 for (_, pred), label in zip(predictions, truth) if pred == label)
     return correct / len(predictions)
 
 
@@ -31,32 +41,28 @@ def pairwise_accuracy(
     Every label must be one of the prediction's two classes; a tie at 0.5
     counts as predicting class_a.
     """
-    truth = labels.labels_by_id()
+    truth = _labels_of(binary_preds, labels, cover=False)
     if not binary_preds:
         raise ValueError("empty prediction list")
     correct = 0
-    for sid, bp in binary_preds:
-        label = truth[sid]
+    for (sid, bp), label in zip(binary_preds, truth):
         if label not in (bp.class_a, bp.class_b):
             raise ValueError(
                 f"sample {sid!r} has label {label}, not in pair ({bp.class_a},{bp.class_b})"
             )
-        predicted = bp.class_a if bp.prob_a >= 0.5 else bp.class_b
-        correct += predicted == label
+        correct += (bp.class_a if bp.prob_a >= 0.5 else bp.class_b) == label
     return correct / len(binary_preds)
 
 
 def confusion_matrix(predictions: list[tuple[str, int]], labels: LabeledBatch) -> np.ndarray:
     """Count matrix with entry (true, predicted); rows sum to per-class support."""
-    truth = labels.labels_by_id()
-    if {sid for sid, _ in predictions} != set(truth):
-        raise ValueError("prediction sample_ids do not match label sample_ids")
+    truth = _labels_of(predictions, labels, cover=True)
     for sid, pred in predictions:
         if not 0 <= pred < labels.c:
             raise ValueError(f"prediction {pred} for sample {sid!r} outside [0, {labels.c})")
     counts = np.zeros((labels.c, labels.c), dtype=np.int64)
-    for sid, pred in predictions:
-        counts[truth[sid], pred] += 1
+    for (_, pred), label in zip(predictions, truth):
+        counts[label, pred] += 1
     return counts
 
 

@@ -512,6 +512,17 @@ class TestSynth:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    # a finite scale whose posteriors are not, as scale**2 underflows to 0;
+    # rejected before the labels are written, and without a RuntimeWarning
+    # (the suite makes one an error)
+    @pytest.mark.parametrize("scale", ["1e-170", "1e-300"])
+    def test_non_finite_posterior_rejected(self, tmp_path, capsys, scale):
+        post, labels, feats = (tmp_path / name for name in ("p.csv", "l.csv", "f.csv"))
+        args = ["--c", "3", "--n-per-class", "2", "--features", str(feats), "--scale", scale]
+        assert main(["synth", str(post), str(labels), *args]) == 1
+        assert capsys.readouterr().err == f"error: posteriors are not finite at scale {scale}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVersionFlag:
     def test_version_mentions_format(self, capsys):

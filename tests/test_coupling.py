@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from plmkit import (
     CouplingConfig,
     EmptyResultError,
+    InvalidDistributionError,
     Method,
     NumericalFailureError,
     PairwiseLikelihoodMatrix,
@@ -14,6 +15,7 @@ from plmkit import (
     ShapeError,
     SingularityError,
     Stabilization,
+    abstaining_predict,
     couple,
     couple_bc,
     couple_stack,
@@ -27,8 +29,8 @@ from plmkit import (
     theta_of,
     validate_pairwise,
 )
-from plmkit import coupling
-from plmkit.core import from_upper, posterior_violations
+from plmkit import core, coupling
+from plmkit.core import from_upper, pairwise_violations, posterior_violations
 from plmkit.coupling import _clip_stack, _solve_augmented, _wlw_system
 from oracles import clip_stack_ref, quadratic_form, random_offmanifold, random_posterior
 
@@ -387,9 +389,14 @@ CONFIGS = [
 ]
 
 
+# entries outside [0, 1], by a little and by a lot
+_OUTSIDE = [-1e-12, 1.0 + 1e-12, -0.25, 1.25]
+
+
 def _stack_row(data, c):
     """One matrix: interior, boundary (0/1) and drop-triggering entries, and
-    sometimes a broken complement."""
+    sometimes a broken complement, often that of an entry a stabilizer clips
+    or drops, or an entry outside [0, 1]."""
     entry = st.one_of(
         st.sampled_from([0.0, 1.0, 1e-310, 1e-5, 1.0 - 1e-5, 0.5]),
         st.floats(min_value=0.0, max_value=1.0),
@@ -400,8 +407,13 @@ def _stack_row(data, c):
     m[iu] = upper
     m[(iu[1], iu[0])] = 1.0 - m[iu]
     if data.draw(st.booleans()):
-        k = data.draw(st.integers(min_value=0, max_value=iu[0].size - 1))
+        edge = [k for k, u in enumerate(upper) if not 1e-3 <= u <= 1.0 - 1e-3]
+        pool = edge if edge and data.draw(st.booleans()) else range(iu[0].size)
+        k = data.draw(st.sampled_from(pool))
         m[iu[1][k], iu[0][k]] = (m[iu[1][k], iu[0][k]] + 0.25) % 1.0
+    if data.draw(st.integers(min_value=0, max_value=3)) == 0:
+        i, j = data.draw(st.tuples(*[st.integers(min_value=0, max_value=c - 1)] * 2))
+        m[i, j if i != j else (j + 1) % c] = data.draw(st.sampled_from(_OUTSIDE))
     return m
 
 
@@ -415,7 +427,7 @@ def _seeded_row(rng, c):
         upper = np.where(rng.random(upper.size) < 0.5, rng.random(upper.size), upper)
     edge = rng.random(upper.size) < 0.1
     upper[edge] = rng.choice(
-        [0.0, 1.0, 5e-324, 1e-310, 1e-300, 1e-5, 1.0 - 1e-12, 0.5], size=edge.sum()
+        [0.0, 1.0, 5e-324, 1e-310, 1e-300, 1e-5, 1.0 - 1e-5, 1.0 - 1e-12, 0.5], size=edge.sum()
     )
     m = from_upper(upper[None], c)[0]
     if rng.random() < 0.1:
@@ -423,8 +435,13 @@ def _seeded_row(rng, c):
         k = rng.integers(upper.size)
         m[rows[k], cols[k]], m[cols[k], rows[k]] = rng.choice([5e-324, 1e-310]), 1.0 - 1e-10
     if rng.random() < 0.2:
-        k = rng.integers(upper.size)
+        # often the complement of an entry that a stabilizer clips or drops
+        clipped = np.flatnonzero((upper < 1e-3) | (upper > 1.0 - 1e-3))
+        k = rng.choice(clipped) if clipped.size and rng.random() < 0.5 else rng.integers(upper.size)
         m[cols[k], rows[k]] = (m[cols[k], rows[k]] + 0.25) % 1.0
+    if rng.random() < 0.1:
+        k = rng.integers(upper.size)
+        m[rows[k], cols[k]] = rng.choice(_OUTSIDE)
     return m
 
 
@@ -469,6 +486,61 @@ class TestCoupleStack:
                 else:
                     assert coupled.errors[k] is None
                     np.testing.assert_array_equal(coupled.probs[k], expected.probs)
+
+    # validation sees the raw stack before any stabilizer: under every
+    # configuration, the rows that fail as invalid are exactly the rows that
+    # pairwise_violations flags, with its messages
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_invalid_rows_are_the_raw_violations(self, seed, c, n):
+        rng = np.random.default_rng(seed)
+        stack = np.array([_seeded_row(rng, c) for _ in range(n)])
+        expected = {k: "; ".join(v) for k, v in pairwise_violations(stack).items()}
+        for config in CONFIGS:
+            errors = couple_stack(stack, config).errors
+            got = {k: str(e) for k, e in enumerate(errors) if type(e) is InvalidDistributionError}
+            assert got == expected
+
+    # the broken complement is that of the entry a clip moves and a drop
+    # removes, so a stabilizer run first would hide it
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_stabilizer_never_validates(self, config):
+        m = PairwiseLikelihoodMatrix([[0.0, 0.0005, 0.5], [0.3, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        message = "complement violation at (0,1): r_ij + r_ji = 0.3005, expected 1"
+        assert validate_pairwise(m) == [message]
+        for call in (couple, lambda m, config: abstaining_predict(m, config, 1.0)):
+            with pytest.raises(InvalidDistributionError) as exc:
+                call(m, config)
+            assert str(exc.value) == message
+
+    # one validation per call, of the raw stack: none after the clip and none
+    # per survivor group, whose reduced matrices are valid when the rows are
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_validated_once(self, config, monkeypatch):
+        calls = []
+
+        def counted(stack):
+            calls.append(stack.copy())
+            return real(stack)
+
+        real = core.pairwise_violations
+        monkeypatch.setattr(core, "pairwise_violations", counted)
+        monkeypatch.setattr(coupling, "pairwise_violations", counted)
+        stack = np.array([
+            theta_map(Posterior([0.2, 0.3, 0.5])).entries,
+            [[0.0, 1e-5, 0.4], [1.0 - 1e-5, 0.0, 0.5], [0.6, 0.5, 0.0]],  # drops class 0
+            [[0.0, 0.5, 1.0 - 1e-5], [0.5, 0.0, 0.6], [1e-5, 0.4, 0.0]],  # drops class 2
+            [[0.0, 1e-5, 1e-5], [1.0 - 1e-5, 0.0, 0.5], [1.0 - 1e-5, 0.5, 0.0]],  # drops class 0 too
+            [[0.0, 0.0005, 0.5], [0.3, 0.0, 0.5], [0.5, 0.5, 0.0]],  # invalid
+        ])  # fmt: skip
+        assert len(np.unique(coupling._survivors(stack[:4], config.rho), axis=0)) == 3
+        errors = couple_stack(stack, config).errors
+        assert len(calls) == 1 and calls[0].tobytes() == stack.tobytes()
+        assert errors[:4] == (None,) * 4 and type(errors[4]) is InvalidDistributionError
 
     def test_bad_row_is_isolated(self):
         good = theta_map(Posterior([0.2, 0.3, 0.5])).entries

@@ -171,6 +171,13 @@ class TestTrainBinaryGlm:
         assert len(calls) == 1 + datagen._MAX_HALVINGS
         assert not fit.weights.any() and fit.intercept == 0.0
 
+    def test_rounding_at_the_optimum_is_not_a_fall(self):
+        # the last Newton step lowers the summed log-likelihood only by rounding
+        # (about 1e-14 at -80.23); taken as a fall, it ended the fit unconverged
+        x, y = self._two_blob_data(seed=268, sep=0.10897823348747118, n=58)
+        fit = train_binary_glm(x, y, GlmSpec(link=Link.LOGIT, epsilon_labels=True))
+        assert fit.converged is True
+
     @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from plmkit import (
+    BinaryPrediction,
     BlobSpec,
     CouplingConfig,
     GlmSpec,
@@ -33,10 +34,16 @@ from plmkit.fileio import FormatError, read_posterior_stack
 # a nonzero diagonal entry and a broken complement
 INVALID = PairwiseLikelihoodMatrix([[0.0, 0.5, 0.5], [0.25, 0.0, 0.5], [0.5, 0.5, 0.1]])
 VALID = PairwiseLikelihoodMatrix([[0.0, 0.5], [0.5, 0.0]])
+TWO = LabeledBatch(samples=(("a", 0), ("b", 1)), c=2)
 
 
 def _one_probability_column(path):
     path.write_text("# plm-v1\nsample_id,p_0\na,1\n")
+    read_posterior_stack(path)
+
+
+def _no_probability_column(path):
+    path.write_text("# plm-v1\nsample_id\n")
     read_posterior_stack(path)
 
 
@@ -51,9 +58,11 @@ RAISES = [
      "complement violation at (0,1): r_ij + r_ji = 0.75, expected 1"),
     ("theta_of at 0/1", lambda path: theta_of(PairwiseLikelihoodMatrix([[0.0, 1.0], [0.0, 0.0]])),
      SingularityError, "pairwise entry at 0 or 1: log-odds map diverges (apply clip stabilization)"),
-    # the clip it is measured with zeroes the diagonal and keeps unclipped pairs
+    # validated raw, before the clip it is measured with could zero the diagonal
     ("distance_bc invalid matrix", lambda path: distance_bc(INVALID),
-     InvalidDistributionError, "complement violation at (0,1): r_ij + r_ji = 0.75, expected 1"),
+     InvalidDistributionError,
+     "diagonal entry (2,2) is 0.1, expected exactly 0; "
+     "complement violation at (0,1): r_ij + r_ji = 0.75, expected 1"),
     ("calibrate_threshold NaN", lambda path: calibrate_threshold([0.2, np.nan, 0.1], 0.5),
      ValueError, "distance nan is not finite and non-negative"),
     ("couple_stack 2-D", lambda path: couple_stack(np.full((3, 3), 0.5), CouplingConfig()),
@@ -114,8 +123,23 @@ RAISES = [
     ("confusion_matrix prediction >= c", lambda path: confusion_matrix(
         [("a", 2), ("b", 5)], LabeledBatch(samples=(("a", 0), ("b", 1)), c=2)),
      ValueError, "prediction 2 for sample 'a' outside [0, 2)"),
+    # each prediction's sample_id is labelled and predicted once
+    ("accuracy repeated id", lambda path: accuracy([("a", 0), ("a", 0), ("b", 1)], TWO),
+     ValueError, "prediction sample_ids are not unique"),
+    ("confusion_matrix repeated id", lambda path: confusion_matrix(
+        [("a", 0), ("b", 1), ("a", 0)], TWO),
+     ValueError, "prediction sample_ids are not unique"),
+    ("pairwise_accuracy unlabelled id", lambda path: pairwise_accuracy(
+        [("a", BinaryPrediction(0, 1, 0.7)), ("zz", BinaryPrediction(0, 1, 0.7))], TWO),
+     ValueError, "prediction sample_ids do not match label sample_ids"),
+    ("pairwise_accuracy repeated id", lambda path: pairwise_accuracy(
+        [("b", BinaryPrediction(0, 1, 0.7)), ("b", BinaryPrediction(0, 1, 0.7))], TWO),
+     ValueError, "prediction sample_ids are not unique"),
     ("posterior file one column", _one_probability_column,
      FormatError, "{path}:2: need at least two probability columns"),
+    # a posterior file, like a feature file, names at least one vector column
+    ("posterior file no column", _no_probability_column,
+     FormatError, "{path}:2: expected header sample_id,p_0,..."),
 ]  # fmt: skip
 
 

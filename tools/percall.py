@@ -18,8 +18,12 @@ abstain.  The script prints the median time per call of each tree, the ratio
 base/new (above 1: NEW is faster), and the combined WLW+BC cost per matrix.
 A second table times the internal stages of one c=40 matrix the same way,
 for the stages both trees define.  Before timing, it checks that both trees
-give byte-identical answers on every input.  Stdlib and numpy only; not part
-of tier-1.
+give byte-identical answers on every input, and that ``couple_stack`` gives
+byte-identical posteriors and residuals and the same error types and texts
+under each of the six (method, stabilization) configurations, on the same
+inputs with some entries moved to 0, 1, subnormals and past the clip and drop
+thresholds (every matrix still valid).  It prints each check's result and
+exits 1 on any difference.  Stdlib and numpy only; not part of tier-1.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ QUANTILE = 0.95
 TAU = 1e-3
 HELD, NEAR, FAR = 100, 80, 20
 NEAR_NOISE, FAR_NOISE = 0.05, 1.5
+# upper entries for the couple_stack check: 0/1, subnormals, and entries a
+# clip at TAU moves or a drop at TAU removes a class over
+EDGES = [0.0, 1.0, 5e-324, 1e-310, 1e-300, 1e-5, 1.0 - 1e-5, 1.0 - 1e-12]
 
 
 def load(src: Path, name: str) -> dict:
@@ -60,6 +67,29 @@ def matrices(c: int, n: int, noise: float, rng: np.random.Generator) -> np.ndarr
     out = np.zeros((n, c, c))
     out[:, rows, cols] = upper
     out[:, cols, rows] = 1.0 - upper
+    return out
+
+
+def edged(stack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A valid copy of a stack: in half of the matrices, about 1% of the upper
+    entries set to EDGES; in a fifth, a subnormal entry whose complement is
+    1 - 1e-10, inside the tolerance but not 1; in a tenth, every lower entry
+    off its exact complement by up to 1e-12 and kept in [0, 1]."""
+    n, c = stack.shape[:2]
+    rows, cols = np.triu_indices(c, k=1)
+    upper = stack[:, rows, cols].copy()
+    edge = (rng.random(upper.shape) < 0.01) & (rng.random((n, 1)) < 0.5)
+    upper[edge] = rng.choice(EDGES, size=edge.sum())
+    out = np.zeros_like(stack)
+    out[:, rows, cols] = upper
+    out[:, cols, rows] = 1.0 - upper
+    picked = np.flatnonzero(rng.random(n) < 0.2)
+    k = rng.integers(rows.size, size=picked.size)
+    out[picked, rows[k], cols[k]] = rng.choice([5e-324, 1e-310], size=picked.size)
+    out[picked, cols[k], rows[k]] = 1.0 - 1e-10
+    inexact = np.flatnonzero(rng.random(n) < 0.1)[:, None]
+    noise = rng.uniform(-1e-12, 1e-12, (inexact.size, rows.size))
+    out[inexact, cols, rows] = np.clip(out[inexact, cols, rows] + noise, 0.0, 1.0)
     return out
 
 
@@ -90,6 +120,19 @@ class Tree:
             result = predict(m, config, threshold)
             probs = getattr(result, "probs", None)
             out.append(probs.tobytes() if probs is not None else ("abstain", result.distance))
+        return out
+
+    def coupled(self, stack: np.ndarray) -> dict:
+        """Per configuration, the bytes of ``couple_stack``'s posteriors and
+        residuals and the type and text of each row's error."""
+        core, couple_stack = self.mod["core"], self.mod["coupling"].couple_stack
+        out = {}
+        for method in core.Method:
+            for stabilization in core.Stabilization:
+                config = core.CouplingConfig(method=method, stabilization=stabilization, tau=TAU, rho=TAU)
+                result = couple_stack(stack, config)
+                errors = [(type(e).__name__, str(e)) if e is not None else None for e in result.errors]
+                out[f"{method.value}/{stabilization.value}"] = (result.probs.tobytes(), result.residual.tobytes(), errors)
         return out
 
     def block(self, c: int, method: str, start: int, size: int) -> list:
@@ -168,6 +211,16 @@ def main() -> int:
     identical = all(trees[0].answers(*key) == trees[1].answers(*key) for key in keys)
     identical &= trees[0].thresholds == trees[1].thresholds
     print(f"answers and thresholds byte-identical: {'yes' if identical else 'NO'}")
+    for c in (10, 40):
+        stack = edged(inputs[c][1], rng)
+        base, new = (tree.coupled(stack) for tree in trees)
+        invalid = len(trees[1].mod["core"].pairwise_violations(stack))
+        failed = sum(error is not None for error in new["bc/none"][2])
+        for config in base:
+            same = base[config] == new[config]
+            identical &= same
+            print(f"couple_stack c={c} {config}: {'identical' if same else 'DIFFERENT'}")
+        print(f"couple_stack c={c}: {len(stack)} matrices, {invalid} invalid, {failed} fail under bc/none")
 
     times = alternate(trees, keys, args.rounds, lambda tree, key, r: tree.block(*key, r * args.block, args.block))
     print(f"\nabstaining_predict, median us per call over {args.rounds} alternations of {args.block} calls")

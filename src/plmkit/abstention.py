@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import CouplingConfig, Method, PairwiseLikelihoodMatrix, Posterior, Stabilization
 from .coupling import CoupledStack, couple, couple_stack
 
@@ -84,9 +85,7 @@ def calibrate_threshold(in_distribution: list[float], quantile: float) -> float:
         raise ValueError("need at least one in-distribution distance")
     if not (0.0 < quantile < 1.0):
         raise ValueError(f"quantile must be in (0, 1), got {quantile}")
-    for d in in_distribution:
-        if not (math.isfinite(d) and d >= 0.0):
-            raise ValueError(f"distance {d!r} is not finite and non-negative")
+    core.require(core.distance_range(np.asarray(in_distribution, dtype=float)))
     ordered = sorted(in_distribution)
     rank = math.ceil(quantile * len(ordered))
     return ordered[rank - 1]

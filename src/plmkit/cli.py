@@ -196,8 +196,7 @@ def cmd_evaluate(args) -> int:
 
     ids, probs = read_posterior_stack(args.posteriors)
     labels = read_labels(args.labels, c=probs.shape[1] if ids else None)
-    # ties go to the lowest index
-    preds = [(sid, int(np.argmax(p))) for sid, p in zip(ids, probs)]
+    preds = list(zip(ids, np.argmax(probs, axis=1).tolist()))  # ties go to the lowest index
     acc = accuracy(preds, labels)
     counts = confusion_matrix(preds, labels)
     write_confusion(args.confusion, counts)

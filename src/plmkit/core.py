@@ -1,4 +1,4 @@
-"""Shared value types for pairwise-likelihood classification.
+"""Shared value types and input rules for pairwise-likelihood classification.
 
 Everything here is an immutable value object: constructors validate, arrays
 are frozen, and all operations elsewhere in the package treat these as
@@ -7,6 +7,7 @@ read-only inputs.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 from dataclasses import dataclass
@@ -135,7 +136,8 @@ class CouplingConfig:
 
     def __post_init__(self):
         for name, value in (("tau", self.tau), ("rho", self.rho)):
-            if not (0.0 < value < 0.5):
+            # below about 1.1e-16, 1 - value rounds to 1 and bounds nothing
+            if not (0.0 < value < 0.5 and 1.0 - value < 1.0):
                 raise ValueError(f"{name} must be in (0, 0.5), got {value}")
 
 
@@ -149,11 +151,8 @@ class LabeledBatch:
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
         ids = [sid for sid, _ in self.samples]
-        if len(set(ids)) != len(ids):
-            raise ValueError("sample_ids must be unique")
-        for sid, label in self.samples:
-            if not (0 <= label < self.c):
-                raise ValueError(f"label {label} for sample {sid!r} outside [0, {self.c})")
+        labels = np.array([label for _, label in self.samples])
+        require(unique_ids(ids), class_range(ids, labels, self.c))
 
     def labels_by_id(self) -> dict:
         return dict(self.samples)
@@ -188,7 +187,8 @@ def posterior_violations(probs: np.ndarray) -> dict[int, str]:
     row; valid rows are absent.  One fused test over the whole stack finds
     whether any row fails; only then are the rows checked one by one.
     """
-    sums = probs.sum(axis=1)
+    with np.errstate(over="ignore"):  # a sum that overflows to inf fails the sum test
+        sums = probs.sum(axis=1)
     # NaN fails every comparison, so a non-finite entry fails the fused test
     if (
         probs.min(initial=0.0) >= 0.0
@@ -207,6 +207,63 @@ def posterior_violations(probs: np.ndarray) -> dict[int, str]:
         else:
             out[row] = f"posterior sums to {sums[row]:.12g}, outside tolerance {SUM_TOL}"
     return out
+
+
+# -- per-row rules on outside input: each returns (mask, reason) checks, a mask
+# of the rows that break the rule and a function from such a row to why.  The
+# file readers report the first with its path:line, the library raises it.
+
+
+def first_violation(*checks) -> tuple[int, str] | None:
+    """(row, reason) of the earliest row that fails a check, by the first check it fails."""
+    row = min((int(h[0]) for mask, _ in checks if (h := np.flatnonzero(mask)).size), default=None)
+    return None if row is None else (row, next(why(row) for mask, why in checks if mask[row]))
+
+
+def require(*checks) -> None:
+    """Raise the reason of the first violation as ValueError."""
+    if (violation := first_violation(*checks)) is not None:
+        raise ValueError(violation[1])
+
+
+def unique_ids(ids: list):
+    """No row repeats the sample_id of an earlier row."""
+    first: dict = {}
+    repeated = np.array([first.setdefault(sid, k) != k for k, sid in enumerate(ids)], dtype=bool)
+    return repeated, lambda k: f"duplicate sample_id {ids[k]!r}"
+
+
+def class_range(ids: list, classes: np.ndarray, c: int, name: str = "label"):
+    """Every row's class, its ``name``, lies in [0, c)."""
+    why = "{} {} for sample {!r} outside [0, {})".format
+    return (classes < 0) | (classes >= c), lambda k: why(name, classes[k], ids[k], c)
+
+
+def pair_checks(i: np.ndarray, j: np.ndarray, q: np.ndarray, name: str, sample=None, ids=None):
+    """Rows (i, j, q), q named ``name``: 0 <= i < j, q in [0, 1], and no pair
+    repeated, within a sample where ``sample`` numbers and ``ids`` names each row's."""
+    keys = (i, j) if sample is None else (sample, i, j)
+    order = np.lexsort(keys[::-1])  # stable: equal keys keep their row order
+    same = np.logical_and.reduce([np.diff(key[order]) == 0 for key in keys])
+    repeated = np.zeros(order.size, dtype=bool)
+    repeated[order[1:][same]] = True
+    scope = (lambda k: "") if ids is None else (lambda k: f" for sample {ids[k]!r}")
+    return [
+        ((i < 0) | (i >= j), lambda k: f"need 0 <= i < j, got ({i[k]},{j[k]})"),
+        (~((q >= 0.0) & (q <= 1.0)), lambda k: f"{name} = {float(q[k])} outside [0, 1]"),
+        (repeated, lambda k: f"duplicate pair ({i[k]},{j[k]}){scope(k)}"),
+    ]
+
+
+def class_bound(i: np.ndarray, j: np.ndarray, c: int):
+    """Every row's pair (i, j), i < j, names classes below c."""
+    return j >= c, lambda k: f"patch pair ({i[k]},{j[k]}) references class >= c={c}"
+
+
+def distance_range(d: np.ndarray, written=None):
+    """Every distance is finite and non-negative; a reason quotes ``written(row)`` or the number."""
+    why = "distance {!r} is not finite and non-negative".format
+    return ~(np.isfinite(d) & (d >= 0.0)), lambda k: why(written(k) if written else float(d[k]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -270,7 +327,10 @@ def pairwise_violations(stack: np.ndarray) -> dict[int, list[str]]:
     bounded = stack.min(initial=0.0) >= 0.0 and stack.max(initial=1.0) <= 1.0
     if not (bounded or np.isfinite(stack).all()):
         raise ShapeError("pairwise matrix contains non-finite entries")
-    s = stack + stack.swapaxes(1, 2)
+    # a pair sum that overflows to inf fails the sum test; only an unbounded
+    # stack can overflow, so only it pays for the errstate
+    with contextlib.nullcontext() if bounded else np.errstate(over="ignore"):
+        s = stack + stack.swapaxes(1, 2)
     diagonals(s)[...] = 1.0
     # a nonzero diagonal fails by itself, so the range test may span it;
     # max(s) - 1 and 1 - min(s) bound |s - 1| exactly

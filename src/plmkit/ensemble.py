@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import PairwiseLikelihoodMatrix, PlmError, Posterior, ShapeError, triu_index
 from .coupling import theta_map_stack
 
@@ -25,25 +26,17 @@ class CorrectionPatch:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
-        seen = set()
-        for i, j, q in self.pairs:
-            if i >= j or i < 0:
-                raise ValueError(f"patch pair ({i},{j}) must satisfy 0 <= i < j")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate patch pair ({i},{j})")
-            if not (0.0 <= q <= 1.0):
-                raise ValueError(f"patch probability {q} outside [0, 1]")
-            seen.add((i, j))
+        core.require(*core.pair_checks(*_columns(self), "prob_i"))
 
-    def check_classes(self, c: int) -> None:
-        for i, j, _ in self.pairs:
-            if j >= c:
-                raise ValueError(f"patch pair ({i},{j}) references class >= c={c}")
+
+def _columns(patch: CorrectionPatch) -> list[np.ndarray]:
+    """The i, j and prob_i of every pair of a patch, as three arrays."""
+    return [np.array([pair[k] for pair in patch.pairs]) for k in range(3)]
 
 
 def correct_stack(probs: np.ndarray, patch: CorrectionPatch) -> np.ndarray:
     """Pairwise matrices of an (N, c) posterior stack with the patched pairs' entries replaced."""
-    patch.check_classes(probs.shape[1])
+    core.require(core.class_bound(*_columns(patch)[:2], probs.shape[1]))
     m = theta_map_stack(probs)
     for i, j, q in patch.pairs:
         m[:, i, j] = q

@@ -20,6 +20,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import core
 from .core import LabeledBatch, PlmError, from_upper, posterior_violations, triu_index
 
 FORMAT_VERSION = "plm-v1"
@@ -48,9 +49,13 @@ def _lines(path) -> tuple[list[int], list[str]]:
     return numbers, [lines[n - 1] for n in numbers]
 
 
-def _fields(line: str) -> list[str]:
-    """The CSV fields of a single line; a quote never continues onto the next line."""
-    return next(csv.reader([line]))
+def _fields(line: str) -> list[str] | None:
+    """The CSV fields of a single line, or None where one is longer than the csv
+    module's process-wide limit; a quote never continues onto the next line."""
+    try:
+        return next(csv.reader([line]))
+    except csv.Error:
+        return None
 
 
 def _columns(dtype: np.dtype) -> list[tuple[str, int | None, str]]:
@@ -94,7 +99,7 @@ def _records(lines: list[str], dtype: np.dtype) -> np.ndarray:
         texts = list(lines)
         for k, line in enumerate(lines):
             if '"' in line:
-                fields = _fields(line)
+                fields = _fields(line) or []
                 numbers = [f for f, kind in zip(fields, kinds) if kind != "O"]
                 if len(fields) != len(columns) or any("," in f for f in numbers):
                     del texts[k:]
@@ -121,9 +126,11 @@ def _records(lines: list[str], dtype: np.dtype) -> np.ndarray:
     return records
 
 
-def _unparsed(fields: list[str], dtype: np.dtype) -> str:
-    """Why a line the bulk parse stopped at is not a row: its field count or a number."""
-    columns = _columns(dtype)
+def _unparsed(line: str, dtype: np.dtype) -> str:
+    """Why a line the bulk parse stopped at is not a row: a long field, field count or number."""
+    fields, columns = _fields(line), _columns(dtype)
+    if fields is None:
+        return f"a field is longer than {csv.field_size_limit()} characters"
     if len(fields) != len(columns):
         return f"expected {len(columns)} fields, got {len(fields)}"
     for text, (_, _, kind) in zip(fields, columns):
@@ -142,22 +149,6 @@ def _unparsed(fields: list[str], dtype: np.dtype) -> str:
 def _first(mask: np.ndarray, default: int) -> int:
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else default
-
-
-def _repeated(*keys: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose tuple of keys appeared on an earlier row."""
-    order = np.lexsort(keys[::-1])  # stable: equal keys keep their row order
-    same = np.logical_and.reduce([np.diff(key[order]) == 0 for key in keys])
-    out = np.zeros(order.size, dtype=bool)
-    out[order[1:][same]] = True
-    return out
-
-
-def _unique_ids(ids: list[str]):
-    """The check that no row repeats the sample_id of an earlier row."""
-    first: dict[str, int] = {}
-    repeated = np.array([first.setdefault(sid, k) != k for k, sid in enumerate(ids)], dtype=bool)
-    return repeated, lambda k: f"duplicate sample_id {ids[k]!r}"
 
 
 def _raise(path, *errors) -> None:
@@ -190,12 +181,12 @@ class _Table:
     def error(self, *checks) -> tuple[int, str] | None:
         """(line, reason) of the first line that does not parse or fails a
         check: a mask over the records and a function from a row to the reason."""
+        found = core.first_violation(*checks)
+        if found is not None:
+            return self.numbers[found[0]], found[1]
         n = len(self.records)
-        k = min((_first(mask, n) for mask, _ in checks), default=n)
-        if k < n:
-            return self.numbers[k], next(why(k) for mask, why in checks if mask[k])
-        if k < len(self.lines):
-            return self.numbers[k], _unparsed(_fields(self.lines[k]), self.dtype)
+        if n < len(self.lines):
+            return self.numbers[n], _unparsed(self.lines[n], self.dtype)
         return None
 
     def check(self, *checks) -> None:
@@ -211,15 +202,11 @@ def _read_table(path, header: str, dtype) -> _Table:
     numbers, lines = _lines(path)
     if not lines:
         raise FormatError(f"{path}: missing header row")
-    fields = _fields(lines[0])
+    fields = _fields(lines[0]) or []  # a line the csv module cannot read is no header
     dtype = dtype(fields) if callable(dtype) else (dtype if fields == header.split(",") else None)
     if dtype is None:
         raise FormatError(f"{path}:{numbers[0]}: expected header {header}")
     return _Table(path, numbers[0], numbers[1:], lines[1:], dtype)
-
-
-def _pair_check(i: np.ndarray, j: np.ndarray):
-    return (i < 0) | (i >= j), lambda k: f"need 0 <= i < j, got ({i[k]},{j[k]})"
 
 
 # -- writing: the rows of a table, formatted in blocks -------------------------
@@ -238,9 +225,12 @@ def _one_line(text: str, name: str) -> str:
 def _quoted(texts, name: str = "sample_id") -> list[str]:
     """String fields as in a row template: quoted as the csv module quotes
     them and where a line would read as a comment, with ``%`` doubled."""
-    out = []
+    out, limit = [], csv.field_size_limit()
     for text in texts:
         _one_line(text, name)
+        # a reader splits a line with any quote by the csv module, which rejects such a field
+        if len(text) > limit:
+            raise ValueError(f"{name} of {len(text)} characters is over the csv limit {limit}")
         if '"' in text or "," in text or text.lstrip().startswith("#"):
             text = '"' + text.replace('"', '""') + '"'
         out.append(text.replace("%", "%%"))
@@ -285,7 +275,7 @@ def _read_vectors(path, prefix: str, one_column=None, check=None) -> tuple[list[
     reasons = check(values) if check else {}
     invalid = np.zeros(len(ids), dtype=bool)
     invalid[list(reasons)] = True
-    table.check(_unique_ids(ids), (invalid, reasons.get))
+    table.check(core.unique_ids(ids), (invalid, reasons.get))
     return ids, values
 
 
@@ -331,11 +321,7 @@ def read_pairwise_stack(path) -> tuple[list[str], np.ndarray]:
     index = {sid: k for k, sid in enumerate(dict.fromkeys(ids))}  # in order of first row
     sample = np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
     i, j, r = table.records["i"], table.records["j"], table.records["r_ij"]
-    table.check(
-        _pair_check(i, j),
-        (~((r >= 0.0) & (r <= 1.0)), lambda k: f"r_ij = {float(r[k])} outside [0, 1]"),
-        (_repeated(sample, i, j), lambda k: f"duplicate pair ({i[k]},{j[k]}) for sample {ids[k]!r}"),
-    )
+    table.check(*core.pair_checks(i, j, r, "r_ij", sample, ids))
 
     # every row is a distinct pair 0 <= i < j, so a sample is complete when
     # it has c(c-1)/2 rows for c = max j + 1 (exact in floats wherever a file
@@ -376,28 +362,21 @@ def read_labels(path, c: int | None = None) -> LabeledBatch:
     ids, labels = table.records["sample_id"].tolist(), table.records["label"]
     if c is None:
         c = int(labels.max()) + 1 if labels.size else 2
-    why = "label {} for sample {!r} outside [0, {})".format
-    table.check(
-        _unique_ids(ids),
-        ((labels < 0) | (labels >= c), lambda k: why(labels[k], ids[k], c)),
-    )
+    table.check(core.unique_ids(ids), core.class_range(ids, labels, c))
     return LabeledBatch(samples=tuple(zip(ids, labels.tolist())), c=c)
 
 
 # -- patch files: i,j,prob_i -------------------------------------------------
 
 def read_patch(path, c: int | None = None) -> list[tuple[int, int, float]]:
-    """(i, j, prob_i) per row: distinct pairs 0 <= i < j, below ``c`` if it is
-    given, and probabilities in [0, 1]."""
+    """(i, j, prob_i) per row: the rows of a valid ``CorrectionPatch``, whose
+    pairs name classes below ``c`` if it is given.  As in the library, the
+    rows are checked as a patch first and against ``c`` after."""
     table = _read_table(path, "i,j,prob_i", np.dtype([("i", "i8"), ("j", "i8"), ("prob_i", float)]))
     i, j, q = table.records["i"], table.records["j"], table.records["prob_i"]
-    table.check(
-        _pair_check(i, j),
-        (j >= (np.inf if c is None else c),
-         lambda k: f"patch pair ({i[k]},{j[k]}) references class >= c={c}"),
-        (~((q >= 0.0) & (q <= 1.0)), lambda k: f"prob_i = {float(q[k])} outside [0, 1]"),
-        (_repeated(i, j), lambda k: f"duplicate pair ({i[k]},{j[k]})"),
-    )
+    table.check(*core.pair_checks(i, j, q, "prob_i"))
+    if c is not None:
+        table.check(core.class_bound(i, j, c))
     return list(zip(i.tolist(), j.tolist(), q.tolist()))
 
 
@@ -417,8 +396,8 @@ def read_distances(path) -> list[tuple[str, str, float]]:
     """(sample_id, method, distance) per row; every distance finite and non-negative."""
     table = _read_table(path, "sample_id,method,distance", _DISTANCE_DTYPE)
     d = table.records["distance"]
-    why = "distance {!r} is not finite and non-negative".format
-    table.check((~(np.isfinite(d) & (d >= 0.0)), lambda k: why(_fields(table.lines[k])[2])))
+    # a reason quotes the distance as written: the line's last field
+    table.check(core.distance_range(d, lambda k: table.lines[k].rstrip("\r\n").rsplit(",", 1)[1]))
     return list(zip(*(table.records[name].tolist() for name in _DISTANCE_DTYPE.names)))
 
 
@@ -471,7 +450,7 @@ def read_summary_stack(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     place = np.full(n, c)
     place[np.flatnonzero(~footer)[: len(rows.records)]] = rows.records["class"]
     counts, empty = feet.records["excluded"], feet.records["empty"]
-    repeated, why_repeated = _unique_ids(list(sid))
+    repeated, why_repeated = core.unique_ids(list(sid))
 
     def expected(k):
         s = k % (c + 1)

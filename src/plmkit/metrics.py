@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import core
 from .core import BinaryPrediction, LabeledBatch, Posterior, triu_index
 
 
@@ -57,9 +58,8 @@ def pairwise_accuracy(
 def confusion_matrix(predictions: list[tuple[str, int]], labels: LabeledBatch) -> np.ndarray:
     """Count matrix with entry (true, predicted); rows sum to per-class support."""
     truth = _labels_of(predictions, labels, cover=True)
-    for sid, pred in predictions:
-        if not 0 <= pred < labels.c:
-            raise ValueError(f"prediction {pred} for sample {sid!r} outside [0, {labels.c})")
+    ids, preds = [sid for sid, _ in predictions], np.array([pred for _, pred in predictions])
+    core.require(core.class_range(ids, preds, labels.c, "prediction"))
     counts = np.zeros((labels.c, labels.c), dtype=np.int64)
     for (_, pred), label in zip(predictions, truth):
         counts[label, pred] += 1

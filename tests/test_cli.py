@@ -592,6 +592,13 @@ class TestEntryPoints:
                 "failed: a: pairwise entry at 0 or 1: log-odds map diverges "
                 "(apply clip stabilization)\n",
             ),
+            # a tau whose complement rounds to 1 would clip to an exact 1
+            (
+                ["couple", "pair.csv", "o.csv", "--method", "bc", "--stabilize", "clip",
+                 "--tau", "1e-17"],
+                1,
+                "error: tau must be in (0, 0.5), got 1e-17\n",
+            ),
         ],
     )
     def test_module_run_exit_code_and_stderr(self, inputs, args, code, err):

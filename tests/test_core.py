@@ -231,7 +231,8 @@ class TestCouplingConfig:
         cfg = CouplingConfig()
         assert cfg.tau == 1e-3 and cfg.rho == 1e-3
 
-    @pytest.mark.parametrize("tau", [0.0, 0.5, -0.1, 0.7])
+    # 1e-17: 1 - tau rounds to 1, so a clip would leave an exact 1
+    @pytest.mark.parametrize("tau", [0.0, 0.5, -0.1, 0.7, 1e-17])
     def test_tau_bounds(self, tau):
         with pytest.raises(ValueError):
             CouplingConfig(tau=tau)

@@ -1,4 +1,6 @@
+import csv
 import functools
+import math
 import re
 import warnings
 
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plmkit import LabeledBatch, Method, fileio
+from plmkit import CorrectionPatch, LabeledBatch, Method, fileio
+from plmkit.ensemble import correct_stack
 from plmkit.fileio import (
     FormatError,
     read_confusion,
@@ -253,6 +256,9 @@ SUM = ",".join(fileio.SUMMARY_HEADER) + "\n"
 CONF = "true\\pred,0,1\n"
 REPORT = "patch,method,pairwise_accuracy,multiclass_accuracy\n"
 SPELLING = "digit separators, non-ASCII digits and integers beyond 64 bits are not supported"
+# the csv module's field limit, process-wide; the readers leave it as it is
+LIMIT = csv.field_size_limit()
+TOO_LONG = "x" * (LIMIT + 1)
 
 
 def _class_row(sid, k):
@@ -417,6 +423,13 @@ MALFORMED = [
      "{path}:4: cannot read numbers ['0', '0', '1_0']: " + SPELLING),
     ("report non-ASCII digit", read_report, PRE + REPORT + "p.csv,bc,0.5,١\n",
      "{path}:4: cannot read numbers ['0.5', '١']: " + SPELLING),
+    # the csv module reads quoted lines, and rejects a field beyond its limit
+    ("quoted field beyond the csv limit", read_pairwise_stack, PRE + HEAD + OK + f'\n"{TOO_LONG}",0,1,0.5\n',
+     f"{{path}}:11: a field is longer than {LIMIT} characters"),
+    ("quoted header field beyond the csv limit", read_labels, PRE + f'"{TOO_LONG}",label\n',
+     "{path}:3: expected header sample_id,label"),
+    ("distance beside an unquoted field beyond the csv limit", read_distances,
+     PRE + DIST + f"{TOO_LONG},bc,-1\n", "{path}:4: distance '-1' is not finite and non-negative"),
 ]  # fmt: skip
 
 
@@ -507,6 +520,20 @@ def test_line_break_in_sample_id_rejected(tmp_path, writer, sid):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize("head", [",", "x"], ids=["quoted", "unquoted"])
+def test_sample_id_beyond_the_csv_limit_rejected(tmp_path, writer, head):
+    """A field longer than the csv module's limit cannot be read back from a
+    line with a quote, so no file is written; one at the limit is written."""
+    path = tmp_path / "out.csv"
+    message = f"sample_id of {LIMIT + 1} characters is over the csv limit {LIMIT}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        WRITERS[writer](path, head + "x" * LIMIT)
+    assert not path.exists()
+    WRITERS[writer](path, head + "x" * (LIMIT - 1))
+    assert path.exists()
+
+
 COMMENTS = {
     "failure id": (
         lambda path: write_posterior_stack(path, ["a"], _P, failures=[("x\ny", "boom")]),
@@ -594,3 +621,62 @@ def test_writer_matches_row_by_row_oracle(tmp_path_factory, fmt, data, ids, c):
     writer(tmp / "new.csv", *args)
     oracle(tmp / "old.csv", *args)
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+def _same_outcome(path, read, build):
+    """``read`` of the file at ``path`` and ``build`` of the same rows both
+    return the same value, or both fail for the same reason: the reader's
+    FormatError is the library's ValueError after a ``path:line:`` prefix."""
+    try:
+        expected = build()
+    except ValueError as exc:
+        with pytest.raises(FormatError) as error:
+            read()
+        line, reason = str(error.value).removeprefix(f"{path}:").split(": ", 1)
+        assert line.isdigit() and reason == str(exc)
+    else:
+        assert read() == expected
+
+
+def _patched(triples, c):
+    correct_stack(np.full((1, c), 1.0 / c), CorrectionPatch(pairs=triples))
+    return triples
+
+
+class TestReaderMatchesLibrary:
+    """A label or patch file and the library type of the same rows accept the
+    same inputs and reject a bad one for the same reason."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["a", "b", "c", "s 1"]), st.integers(-1, 4)), max_size=6
+        ),
+        st.integers(1, 4),
+    )
+    def test_labels(self, tmp_path_factory, samples, c):
+        path = tmp_path_factory.mktemp("labels") / "l.csv"
+        rows = "".join(f"{sid},{label}\n" for sid, label in samples)
+        path.write_text("# plm-v1\nsample_id,label\n" + rows)
+        build = lambda: LabeledBatch(samples=samples, c=c)  # noqa: E731
+        _same_outcome(path, lambda: read_labels(path, c=c), build)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-1, 3),
+                st.integers(0, 4),
+                st.one_of(st.sampled_from([-0.5, 1.5, math.nan, 0.0, 1.0]), st.floats(0.0, 1.0)),
+            ),
+            max_size=5,
+        ),
+        st.integers(2, 4),
+    )
+    def test_patches(self, tmp_path_factory, triples, c):
+        path = tmp_path_factory.mktemp("patch") / "p.csv"
+        rows = "".join(f"{i},{j},{q!r}\n" for i, j, q in triples)
+        path.write_text("# plm-v1\ni,j,prob_i\n" + rows)
+        build = lambda: list(CorrectionPatch(pairs=triples).pairs)  # noqa: E731
+        _same_outcome(path, lambda: read_patch(path), build)
+        _same_outcome(path, lambda: read_patch(path, c=c), lambda: _patched(triples, c))

@@ -63,6 +63,14 @@ RAISES = [
      InvalidDistributionError,
      "diagonal entry (2,2) is 0.1, expected exactly 0; "
      "complement violation at (0,1): r_ij + r_ji = 0.75, expected 1"),
+    # an entry near DBL_MAX: its pair sum and a row sum overflow to inf, silently
+    ("couple_stack pair sum overflows", lambda path: couple_stack(
+        np.array([[[0.0, 1e308], [1e308, 0.0]]]), CouplingConfig()).raise_first(),
+     InvalidDistributionError,
+     "entry (0,1) = 1e+308 outside [0, 1]; entry (1,0) = 1e+308 outside [0, 1]; "
+     "complement violation at (0,1): r_ij + r_ji = inf, expected 1"),
+    ("Posterior sum overflows", lambda path: Posterior([1e308, 1e308]),
+     InvalidDistributionError, "posterior entries must lie in [0, 1]"),
     ("calibrate_threshold NaN", lambda path: calibrate_threshold([0.2, np.nan, 0.1], 0.5),
      ValueError, "distance nan is not finite and non-negative"),
     ("couple_stack 2-D", lambda path: couple_stack(np.full((3, 3), 0.5), CouplingConfig()),

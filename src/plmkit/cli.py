@@ -46,15 +46,6 @@ from .fileio import (
 _METHODS = sorted(m.value for m in Method)
 
 
-def _config(args) -> CouplingConfig:
-    return CouplingConfig(
-        method=Method(args.method),
-        stabilization=Stabilization(args.stabilize),
-        tau=args.tau,
-        rho=args.rho,
-    )
-
-
 def _add_coupling_flags(sub):
     sub.add_argument("--method", choices=_METHODS, default="wlw")
     sub.add_argument("--stabilize", choices=sorted(s.value for s in Stabilization), default="none")
@@ -70,7 +61,7 @@ def cmd_restrict(args) -> int:
 
 def cmd_couple(args) -> int:
     ids, stack = read_pairwise_stack(args.input)
-    coupled = couple_stack(stack, _config(args))
+    coupled = couple_stack(stack, CouplingConfig(args.method, args.stabilize, args.tau, args.rho))
     ok = np.array([error is None for error in coupled.errors], dtype=bool)
     failures = [(sid, str(error)) for sid, error in zip(ids, coupled.errors) if error is not None]
     write_posterior_stack(
@@ -104,7 +95,7 @@ def cmd_correct(args) -> int:
                 pair_accs.append(pairwise_accuracy(pair_preds, labels))
         pair_acc = sum(pair_accs) / len(pair_accs) if pair_accs else float("nan")
         for mname in _METHODS:
-            coupled = couple_stack(patched, CouplingConfig(method=Method(mname)))
+            coupled = couple_stack(patched, CouplingConfig(method=mname))
             coupled.raise_first()
             winners = np.argmax(coupled.probs, axis=1).tolist()
             multi_acc = accuracy(list(zip(ids, winners)), labels)
@@ -151,7 +142,7 @@ def cmd_bootstrap(args) -> int:
         row = {sid: k for k, sid in enumerate(file_ids)}
         aligned.append(stack[[row[sid] for sid in ids]])
     sources = np.stack(aligned, axis=1)  # (N, files, c, c)
-    config = CouplingConfig(method=Method(args.method))
+    config = CouplingConfig(method=args.method)
     c = sources.shape[-1]
     # per sample: mean, sd, min, nine deciles and max of each class; rows excluded
     stats, excluded = np.zeros((len(ids), 13, c)), np.zeros(len(ids), dtype=np.int64)
@@ -175,10 +166,9 @@ def cmd_distance(args) -> int:
     from .abstention import sureness_stack
 
     ids, stack = read_pairwise_stack(args.input)
-    method = Method(args.method)
-    coupled = sureness_stack(stack, CouplingConfig(method=method, tau=args.tau))
+    coupled = sureness_stack(stack, CouplingConfig(method=args.method, tau=args.tau))
     coupled.raise_first()
-    write_distance_stack(args.output, ids, [method.value] * len(ids), coupled.residual)
+    write_distance_stack(args.output, ids, [args.method] * len(ids), coupled.residual)
     return 0
 
 

@@ -114,6 +114,13 @@ class PairwiseLikelihoodMatrix:
         return hash(self.entries.tobytes())
 
 
+def require_band(name: str, value: float) -> None:
+    """Reject a threshold outside (0, 0.5); below about 1.1e-16, 1 - value
+    rounds to 1 and bounds nothing, so such a value is outside too."""
+    if not (0.0 < value < 0.5 and 1.0 - value < 1.0):
+        raise ValueError(f"{name} must be in (0, 0.5), got {value}")
+
+
 class Method(enum.Enum):
     WU_LIN_WENG = "wlw"
     BAYES_COVARIANT = "bc"
@@ -127,7 +134,8 @@ class Stabilization(enum.Enum):
 
 @dataclass(frozen=True)
 class CouplingConfig:
-    """Method selector plus numerical-stabilization strategy and thresholds."""
+    """Method selector plus numerical-stabilization strategy and thresholds; each
+    enum field takes its member or that member's value, ``"wlw"`` say, and holds the member."""
 
     method: Method = Method.WU_LIN_WENG
     stabilization: Stabilization = Stabilization.NONE
@@ -135,10 +143,10 @@ class CouplingConfig:
     rho: float = 1e-3
 
     def __post_init__(self):
-        for name, value in (("tau", self.tau), ("rho", self.rho)):
-            # below about 1.1e-16, 1 - value rounds to 1 and bounds nothing
-            if not (0.0 < value < 0.5 and 1.0 - value < 1.0):
-                raise ValueError(f"{name} must be in (0, 0.5), got {value}")
+        object.__setattr__(self, "method", Method(self.method))
+        object.__setattr__(self, "stabilization", Stabilization(self.stabilization))
+        require_band("tau", self.tau)
+        require_band("rho", self.rho)
 
 
 @dataclass(frozen=True)
@@ -184,18 +192,10 @@ def posterior_violations(probs: np.ndarray) -> dict[int, str]:
     """Check the simplex invariants on every row of an (N, c) stack of posteriors.
 
     Returns the first violated invariant of each invalid row, keyed by its
-    row; valid rows are absent.  One fused test over the whole stack finds
-    whether any row fails; only then are the rows checked one by one.
+    row; valid rows are absent.
     """
     with np.errstate(over="ignore"):  # a sum that overflows to inf fails the sum test
         sums = probs.sum(axis=1)
-    # NaN fails every comparison, so a non-finite entry fails the fused test
-    if (
-        probs.min(initial=0.0) >= 0.0
-        and probs.max(initial=1.0) <= 1.0
-        and np.abs(sums - 1.0).max(initial=0.0) <= SUM_TOL
-    ):
-        return {}
     finite = np.isfinite(probs).all(axis=1)
     in_range = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
     out = {}
@@ -240,7 +240,7 @@ def class_range(ids: list, classes: np.ndarray, c: int, name: str = "label"):
 
 
 def pair_checks(i: np.ndarray, j: np.ndarray, q: np.ndarray, name: str, sample=None, ids=None):
-    """Rows (i, j, q), q named ``name``: 0 <= i < j, q in [0, 1], and no pair
+    """Rows (i, j, q), q named ``name``: integers 0 <= i < j, q in [0, 1], and no pair
     repeated, within a sample where ``sample`` numbers and ``ids`` names each row's."""
     keys = (i, j) if sample is None else (sample, i, j)
     order = np.lexsort(keys[::-1])  # stable: equal keys keep their row order
@@ -248,7 +248,9 @@ def pair_checks(i: np.ndarray, j: np.ndarray, q: np.ndarray, name: str, sample=N
     repeated = np.zeros(order.size, dtype=bool)
     repeated[order[1:][same]] = True
     scope = (lambda k: "") if ids is None else (lambda k: f" for sample {ids[k]!r}")
+    whole = np.isfinite(i) & np.isfinite(j) & (np.floor(i) == i) & (np.floor(j) == j)
     return [
+        (~whole, lambda k: f"class indices must be integers, got ({i[k]},{j[k]})"),
         ((i < 0) | (i >= j), lambda k: f"need 0 <= i < j, got ({i[k]},{j[k]})"),
         (~((q >= 0.0) & (q <= 1.0)), lambda k: f"{name} = {float(q[k])} outside [0, 1]"),
         (repeated, lambda k: f"duplicate pair ({i[k]},{j[k]}){scope(k)}"),

@@ -37,6 +37,7 @@ from .core import (
     from_upper,
     off_diagonal,
     pairwise_violations,
+    require_band,
     require_valid_pairwise,
     strict_upper,
     triu_index,
@@ -395,7 +396,7 @@ def stabilize_clip(matrix: PairwiseLikelihoodMatrix, tau: float) -> PairwiseLike
     The upper triangle is clipped and the lower triangle is set to the
     complements, so the result satisfies the pair-sum invariant exactly.
     """
-    CouplingConfig(tau=tau)  # rejects a tau outside its band
+    require_band("tau", tau)
     return PairwiseLikelihoodMatrix(_clip_stack(matrix.entries[None], tau)[0])
 
 
@@ -408,7 +409,7 @@ def stabilize_drop(
     indices.  Raises ``EmptyResultError`` if nothing survives; a single
     survivor yields ``(None, [k])``.
     """
-    CouplingConfig(rho=rho)  # rejects a rho outside its band
+    require_band("rho", rho)
     survivors = np.nonzero(_survivors(matrix.entries[None], rho)[0])[0].tolist()
     if not survivors:
         raise EmptyResultError(_ALL_DROPPED)

@@ -18,6 +18,7 @@ from .core import (
     Posterior,
     SingularityError,
     from_upper,
+    require_band,
     triu_index,
 )
 from .coupling import theta_map
@@ -69,6 +70,7 @@ class GlmSpec:
 
     With ``epsilon_labels`` the 0/1 targets are replaced by epsilon and
     1 - epsilon; an epsilon of ``None`` defaults to 1 / n_train at fit time.
+    ``link`` takes a member or its value and holds the member.
     """
 
     link: Link = Link.LOGIT
@@ -76,8 +78,9 @@ class GlmSpec:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.epsilon is not None and not (0.0 < self.epsilon < 0.5):
-            raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
+        object.__setattr__(self, "link", Link(self.link))
+        if self.epsilon is not None:
+            require_band("epsilon", self.epsilon)
         if self.epsilon is not None and not self.epsilon_labels:
             raise ValueError("epsilon is given but epsilon_labels is False")
 

@@ -39,8 +39,8 @@ def correct_stack(probs: np.ndarray, patch: CorrectionPatch) -> np.ndarray:
     core.require(core.class_bound(*_columns(patch)[:2], probs.shape[1]))
     m = theta_map_stack(probs)
     for i, j, q in patch.pairs:
-        m[:, i, j] = q
-        m[:, j, i] = 1.0 - q
+        m[:, int(i), int(j)] = q
+        m[:, int(j), int(i)] = 1.0 - q
     return m
 
 

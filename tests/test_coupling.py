@@ -538,9 +538,18 @@ class TestCoupleStack:
             [[0.0, 0.0005, 0.5], [0.3, 0.0, 0.5], [0.5, 0.5, 0.0]],  # invalid
         ])  # fmt: skip
         assert len(np.unique(coupling._survivors(stack[:4], config.rho), axis=0)) == 3
-        errors = couple_stack(stack, config).errors
+        coupled = couple_stack(stack, config)
+        errors = coupled.errors
         assert len(calls) == 1 and calls[0].tobytes() == stack.tobytes()
         assert errors[:4] == (None,) * 4 and type(errors[4]) is InvalidDistributionError
+        # the config spelled with its members' values is the same config, and
+        # couples bit for bit alike
+        spelled = CouplingConfig(config.method.value, config.stabilization.value)
+        assert spelled == config
+        again = couple_stack(stack, spelled)
+        assert again.probs.tobytes() == coupled.probs.tobytes()
+        assert again.residual.tobytes() == coupled.residual.tobytes()
+        assert [(type(e), str(e)) for e in again.errors] == [(type(e), str(e)) for e in errors]
 
     def test_bad_row_is_isolated(self):
         good = theta_map(Posterior([0.2, 0.3, 0.5])).entries

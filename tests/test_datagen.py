@@ -135,6 +135,17 @@ class TestTrainBinaryGlm:
         preds = (fit.predict_proba(x) >= 0.5).astype(float)
         assert (preds == y).mean() > 0.9
 
+    # a link given by its value is its member: the same spec, the same fit bit for bit
+    @pytest.mark.parametrize("link", list(Link))
+    def test_link_value_fits_as_its_member(self, link):
+        x, y = self._two_blob_data(seed=5)
+        assert GlmSpec(link=link.value) == GlmSpec(link=link)
+        by_value = train_binary_glm(x, y, GlmSpec(link=link.value))
+        by_member = train_binary_glm(x, y, GlmSpec(link=link))
+        assert by_value.link is link and by_value.converged is by_member.converged
+        assert by_value.weights.tobytes() == by_member.weights.tobytes()
+        assert by_value.intercept == by_member.intercept
+
     def test_single_class_rejected(self):
         x = np.zeros((10, 2))
         with pytest.raises(ValueError):

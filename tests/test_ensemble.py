@@ -46,6 +46,13 @@ class TestCorrectionPatch:
 
 
 class TestPartialCorrect:
+    # an index that is a whole float names its class, as the int does
+    def test_integral_float_indices(self):
+        probs = np.array([[0.2, 0.3, 0.5]])
+        by_int = ensemble.correct_stack(probs, CorrectionPatch(pairs=((0, 2, 0.9),)))
+        by_float = ensemble.correct_stack(probs, CorrectionPatch(pairs=((0.0, 2.0, 0.9),)))
+        assert by_float.tobytes() == by_int.tobytes()
+
     def test_identity_patch(self):
         p = Posterior([0.2, 0.3, 0.5])
         q = 0.2 / (0.2 + 0.3)

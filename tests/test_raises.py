@@ -7,6 +7,7 @@ import pytest
 from plmkit import (
     BinaryPrediction,
     BlobSpec,
+    CorrectionPatch,
     CouplingConfig,
     GlmSpec,
     InvalidDistributionError,
@@ -99,6 +100,24 @@ RAISES = [
      ValueError, "means must be finite"),
     ("GlmSpec epsilon", lambda path: GlmSpec(epsilon=0.7),
      ValueError, "epsilon must be in (0, 0.5), got 0.7"),
+    # 1 - epsilon rounds to 1: the epsilon-labels would be the hard labels
+    ("GlmSpec epsilon 1e-17", lambda path: GlmSpec(epsilon_labels=True, epsilon=1e-17),
+     ValueError, "epsilon must be in (0, 0.5), got 1e-17"),
+    ("GlmSpec epsilon subnormal", lambda path: GlmSpec(epsilon_labels=True, epsilon=1e-320),
+     ValueError, "epsilon must be in (0, 0.5), got 1e-320"),
+    # an enum field takes its member or that member's value, nothing else
+    ("CouplingConfig method", lambda path: CouplingConfig(method="nope"),
+     ValueError, "'nope' is not a valid Method"),
+    ("CouplingConfig stabilization", lambda path: CouplingConfig(stabilization="none "),
+     ValueError, "'none ' is not a valid Stabilization"),
+    ("GlmSpec link", lambda path: GlmSpec(link="probit"),
+     ValueError, "'probit' is not a valid Link"),
+    # a class index must name a class, so it is a whole number
+    ("CorrectionPatch fractional index", lambda path: CorrectionPatch(pairs=((0.5, 1, 0.5),)),
+     ValueError, "class indices must be integers, got (0.5,1)"),
+    ("CorrectionPatch NaN index", lambda path: CorrectionPatch(
+        pairs=((0, 1, 0.5), (np.nan, 2, 0.5))),
+     ValueError, "class indices must be integers, got (nan,2)"),
     # an epsilon without epsilon_labels would be ignored
     ("GlmSpec epsilon without labels", lambda path: GlmSpec(epsilon=0.1),
      ValueError, "epsilon is given but epsilon_labels is False"),

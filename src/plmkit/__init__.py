@@ -21,7 +21,6 @@ _EXPORTS = {
     "coupling": (
         "CoupledStack", "couple", "couple_bc", "couple_stack", "couple_wlw", "delta2_value",
         "iia_restrict", "reconstruct_from_column", "stabilize_clip", "stabilize_drop", "theta_map",
-        "theta_of",
     ),
     "abstention": (
         "Abstain", "abstaining_predict", "calibrate_threshold", "distance_bc", "distance_wlw",

@@ -375,10 +375,3 @@ def validate_pairwise(matrix: PairwiseLikelihoodMatrix) -> list[str]:
     reaches this function only the probabilistic invariants can fail.
     """
     return pairwise_violations(matrix.entries[None]).get(0, [])
-
-
-def require_valid_pairwise(matrix: PairwiseLikelihoodMatrix) -> None:
-    """Raise ``InvalidDistributionError`` if the matrix violates any invariant."""
-    violations = validate_pairwise(matrix)
-    if violations:
-        raise InvalidDistributionError("; ".join(violations))

@@ -1,11 +1,11 @@
 """Pairwise coupling: the likelihood-matrix map, its inverses, and stabilizers.
 
-The forward direction turns a strictly positive class posterior into a matrix
-of pairwise likelihoods by renormalizing each pair of entries.  Two coupling
-methods invert that map: a constrained quadratic minimizer (Wu-Lin-Weng) and
-an orthogonal projection in log-odds coordinates (Bayes covariant).  Both are
-regular: applied to a matrix built from a posterior, they return that
-posterior.
+The forward direction turns a class posterior into a matrix of pairwise
+likelihoods by renormalizing each pair of entries, which is defined wherever
+the pair has mass.  Two coupling methods invert that map: a constrained
+quadratic minimizer (Wu-Lin-Weng) and an orthogonal projection in log-odds
+coordinates (Bayes covariant).  Both are regular: applied to a matrix built
+from a strictly positive posterior, they return that posterior.
 
 Every stage works on an (N, c, c) stack of matrices: :func:`couple_stack` is
 the one coupling path, and the single-matrix functions are its N=1 case.
@@ -38,9 +38,9 @@ from .core import (
     off_diagonal,
     pairwise_violations,
     require_band,
-    require_valid_pairwise,
     strict_upper,
     triu_index,
+    validate_pairwise,
 )
 
 _NEG_CLAMP = 1e-9
@@ -48,27 +48,35 @@ _WLW = CouplingConfig(method=Method.WU_LIN_WENG)
 _BC = CouplingConfig(method=Method.BAYES_COVARIANT)
 
 
+def _restrict(probs: np.ndarray, rows, cols) -> np.ndarray:
+    """The (N, P) restrictions p_i / (p_i + p_j) of an (N, c) posterior stack at pairs
+    (rows[k], cols[k]); the first pair without mass, by row then pair, is singular."""
+    upper = probs[:, rows]
+    mass = upper + probs[:, cols]
+    if not mass.all():
+        k = np.flatnonzero(mass == 0.0)[0] % mass.shape[1]
+        raise SingularityError(f"p_{rows[k]} + p_{cols[k]} = 0: pair restriction undefined")
+    return np.divide(upper, mass, out=upper)
+
+
 def iia_restrict(p: Posterior, i: int, j: int) -> BinaryPrediction:
-    """Restrict a posterior to the pair (i, j), preserving their likelihood ratio."""
+    """Restrict a posterior to the pair (i, j), preserving their likelihood ratio;
+    ``prob_a`` is entry (i, j) of :func:`theta_map`, bit for bit."""
     if i == j:
         raise ValueError("pair indices must differ")
-    pi, pj = p.probs[i], p.probs[j]
-    denom = pi + pj
-    if denom == 0.0:
-        raise SingularityError(f"p_{i} + p_{j} = 0: pair restriction undefined")
-    return BinaryPrediction(class_a=i, class_b=j, prob_a=pi / denom)
+    r = _restrict(p.probs[None], [min(i, j)], [max(i, j)])[0, 0]
+    return BinaryPrediction(class_a=i, class_b=j, prob_a=r if i < j else 1.0 - r)
 
 
 def theta_map_stack(probs: np.ndarray) -> np.ndarray:
-    """Pairwise likelihood matrices of an (N, c) stack of strictly positive posteriors."""
-    if np.any(probs == 0.0):
-        raise SingularityError("posterior has a zero entry; pairwise map is not injective there")
+    """Pairwise likelihood matrices of an (N, c) posterior stack; a pair with
+    one zero entry restricts to exact 0 and 1, one with two is undefined."""
     rows, cols = triu_index(probs.shape[1])
-    return from_upper(probs[:, rows] / (probs[:, rows] + probs[:, cols]), probs.shape[1])
+    return from_upper(_restrict(probs, rows, cols), probs.shape[1])
 
 
 def theta_map(p: Posterior) -> PairwiseLikelihoodMatrix:
-    """Build the full pairwise likelihood matrix of a strictly positive posterior."""
+    """Build the full pairwise likelihood matrix of a posterior."""
     return PairwiseLikelihoodMatrix(theta_map_stack(p.probs[None])[0])
 
 
@@ -78,7 +86,9 @@ def reconstruct_from_column(matrix: PairwiseLikelihoodMatrix, j: int) -> Posteri
     On the image of ``theta_map`` every column gives the same answer; off it,
     columns disagree (which is what the manifold-distance scores measure).
     """
-    require_valid_pairwise(matrix)
+    violations = validate_pairwise(matrix)
+    if violations:
+        raise InvalidDistributionError("; ".join(violations))
     m = matrix.entries
     c = matrix.c
     others = np.arange(c) != j
@@ -202,16 +212,6 @@ def _log_odds(stack: np.ndarray) -> np.ndarray:
     th = np.log(1.0 / inner - 1.0)
     # enforce exact antisymmetry against rounding in the two complements
     return 0.5 * (th - th.swapaxes(1, 2))
-
-
-def theta_of(matrix: PairwiseLikelihoodMatrix) -> np.ndarray:
-    """Map each off-diagonal entry through the log-odds reparametrization.
-
-    The result is a read-only (c, c) array, antisymmetric with a zero diagonal.
-    """
-    if _singular_rows(matrix.entries[None])[0]:
-        raise SingularityError(_SINGULAR)
-    return _read_only(_log_odds(matrix.entries[None])[0])
 
 
 @functools.lru_cache(maxsize=None)

@@ -69,7 +69,8 @@ class GlmSpec:
     """Training configuration for a binary GLM with a selectable link.
 
     With ``epsilon_labels`` the 0/1 targets are replaced by epsilon and
-    1 - epsilon; an epsilon of ``None`` defaults to 1 / n_train at fit time.
+    1 - epsilon; an epsilon of ``None`` defaults to 1 / n_train at fit time,
+    which must lie in the same band (0, 0.5), so n_train must exceed 2.
     ``link`` takes a member or its value and holds the member.
     """
 
@@ -161,6 +162,8 @@ def train_binary_glm(features: np.ndarray, labels: np.ndarray, spec: GlmSpec) ->
     if set(np.unique(y)) != {0.0, 1.0}:
         raise ValueError("need both classes present with labels in {0, 1}")
     eps = (spec.epsilon or 1.0 / y.size) if spec.epsilon_labels else 0.0
+    if spec.epsilon_labels:
+        require_band("epsilon", eps)
     t = np.where(y > 0.5, 1.0 - eps, eps)
     design = np.column_stack([x, np.ones(len(x))])
     beta = np.zeros(design.shape[1])

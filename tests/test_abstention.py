@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -111,6 +112,20 @@ class TestCalibrateThreshold:
         for order in itertools.permutations([bad, 0.2, 0.1]):
             with pytest.raises(ValueError, match=r"is not finite and non-negative$"):
                 calibrate_threshold(list(order), 0.5)
+
+
+    @pytest.mark.parametrize("n", [10, 20, 50, 200])
+    def test_held_out_pass_rate(self, n):
+        # a fresh exchangeable, continuous distance passes with probability
+        # ceil(qn) / (n + 1); the band is 4 binomial standard errors of the
+        # trial count, which a correct rule leaves with probability 6e-5
+        q, trials = 0.95, 20000
+        rng = np.random.default_rng([41, n])
+        draws = rng.random((trials, n + 1))
+        thresholds = np.array([calibrate_threshold(row.tolist(), q) for row in draws[:, :n]])
+        rate = np.mean(draws[:, n] <= thresholds)
+        expected = math.ceil(q * n) / (n + 1)
+        assert abs(rate - expected) <= 4.0 * math.sqrt(expected * (1.0 - expected) / trials)
 
 
 class TestAbstainingPredict:

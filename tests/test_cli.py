@@ -63,6 +63,26 @@ class TestRestrict:
         assert main(["restrict", str(src), str(tmp_path / "out.csv")]) == 1
         assert ":2:" in capsys.readouterr().err
 
+    def test_zero_entry_restricts_to_exact_0_1(self, tmp_path):
+        # a pair with one zero entry restricts to exact 0 and 1, which WLW couples
+        src, pair, back = tmp_path / "post.csv", tmp_path / "pair.csv", tmp_path / "back.csv"
+        src.write_text("sample_id,p_0,p_1,p_2\na,0.7,0.3,0\nb,0.2,0.3,0.5\n")
+        assert main(["restrict", str(src), str(pair)]) == 0
+        m = dict(zip(*read_pairwise_stack(pair)))["a"]
+        assert m[0, 1] == 0.7 and m[0, 2] == 1.0 and m[1, 2] == 1.0
+        assert m[2, 0] == 0.0 and m[2, 1] == 0.0
+        assert main(["couple", str(pair), str(back), "--method", "wlw"]) == 0
+        coupled = dict(zip(*read_posterior_stack(back)))
+        np.testing.assert_allclose(coupled["a"], [0.7, 0.3, 0.0], atol=1e-12)
+        np.testing.assert_allclose(coupled["b"], [0.2, 0.3, 0.5], atol=1e-12)
+
+    def test_pair_without_mass_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "post.csv"
+        src.write_text("sample_id,p_0,p_1,p_2\na,0.7,0.3,0\nb,1,0,0\n")
+        assert main(["restrict", str(src), str(tmp_path / "pair.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: p_1 + p_2 = 0: pair restriction undefined\n"
+
 
 class TestCouple:
     @pytest.mark.parametrize("method", ["wlw", "bc"])

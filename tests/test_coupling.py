@@ -26,12 +26,11 @@ from plmkit import (
     stabilize_clip,
     stabilize_drop,
     theta_map,
-    theta_of,
     validate_pairwise,
 )
 from plmkit import core, coupling
 from plmkit.core import from_upper, pairwise_violations, posterior_violations
-from plmkit.coupling import _clip_stack, _solve_augmented, _wlw_system
+from plmkit.coupling import _clip_stack, _solve_augmented, _wlw_system, theta_map_stack
 from oracles import clip_stack_ref, quadratic_form, random_offmanifold, random_posterior
 
 OFF_MANIFOLD = PairwiseLikelihoodMatrix(
@@ -81,8 +80,60 @@ class TestThetaMap:
         assert m[1, 0] == pytest.approx(0.1)
 
     def test_zero_entry_singular(self):
-        with pytest.raises(SingularityError):
-            theta_map(Posterior([0.0, 1.0]))
+        # a pair with one zero entry restricts to exact 0 and 1; only a pair
+        # without mass is singular
+        m = theta_map(Posterior([0.0, 1.0])).entries
+        assert m[0, 1] == 0.0 and m[1, 0] == 1.0
+        with pytest.raises(SingularityError, match=r"^p_0 \+ p_1 = 0: pair restriction undefined$"):
+            theta_map(Posterior([0.0, 0.0, 1.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda c: st.lists(
+                st.lists(st.just(0.0) | st.floats(1e-300, 1.0), min_size=c, max_size=c),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_one_pair_rule(self, weights):
+        # theta_map_stack and iia_restrict agree entry for entry where every
+        # pair has mass, and raise the same error for the first pair without
+        w = np.array(weights)
+        w[~w.any(axis=1)] = 1.0
+        probs = w / w.sum(axis=1, keepdims=True)
+        c = probs.shape[1]
+        rows, cols = np.triu_indices(c, k=1)
+        errors = []
+        for row in probs:
+            p = Posterior(row)
+            empty = [(i, j) for i, j in zip(rows, cols) if row[i] + row[j] == 0.0]
+            if not empty:
+                m = theta_map_stack(row[None])[0]
+                for i, j in zip(*np.nonzero(~np.eye(c, dtype=bool))):
+                    assert m[i, j] == iia_restrict(p, i, j).prob_a
+                continue
+            i, j = empty[0]
+            message = f"p_{i} + p_{j} = 0: pair restriction undefined"
+            errors.append(message)
+            calls = (
+                lambda: theta_map_stack(row[None]),
+                lambda: iia_restrict(p, i, j),
+                lambda: iia_restrict(p, j, i),
+            )
+            for call in calls:
+                with pytest.raises(SingularityError) as exc:
+                    call()
+                assert str(exc.value) == message
+        # the whole stack raises its first row's error, or restricts row by row
+        if errors:
+            with pytest.raises(SingularityError) as exc:
+                theta_map_stack(probs)
+            assert str(exc.value) == errors[0]
+        else:
+            by_row = np.concatenate([theta_map_stack(row[None]) for row in probs])
+            assert np.array_equal(theta_map_stack(probs), by_row)
 
     def test_output_valid(self):
         rng = np.random.default_rng(3)
@@ -202,11 +253,8 @@ class TestCoupleBc:
             m = PairwiseLikelihoodMatrix([[0.0, low, 0.5], [1.0 - 1e-10, 0.0, 0.5], [0.5, 0.5, 0.0]])
             with pytest.raises(SingularityError):
                 couple_bc(m)
-            with pytest.raises(SingularityError):
-                theta_of(m)
         above = np.nextafter(floor, 1.0)
         m = PairwiseLikelihoodMatrix([[0.0, above, 0.5], [1.0 - 1e-10, 0.0, 0.5], [0.5, 0.5, 0.0]])
-        assert np.all(np.isfinite(theta_of(m)))
         assert couple_bc(m).probs[1] == pytest.approx(1.0)
 
 
@@ -353,15 +401,6 @@ class TestProperties:
                 p = fn(m).probs
                 assert np.all(p >= 0)
                 assert abs(p.sum() - 1.0) <= 1e-9
-
-    def test_theta_antisymmetry(self):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            m = PairwiseLikelihoodMatrix(random_offmanifold(rng, 5))
-            th = theta_of(m)
-            assert th.shape == (5, 5) and not th.flags.writeable
-            assert np.all(np.isfinite(th))
-            assert np.array_equal(th, -th.T) and not np.diag(th).any()
 
     def test_column_agreement_iff_on_manifold(self):
         rng = np.random.default_rng(29)

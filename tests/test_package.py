@@ -35,7 +35,7 @@ EXPORTS = [
     "couple_stack", "couple_wlw", "delta2_value", "distance_bc", "distance_wlw",
     "generate_blobs", "iia_restrict", "pairwise_accuracy", "partial_correct",
     "perturb_manifold", "reconstruct_from_column", "stabilize_clip", "stabilize_drop", "sureness",
-    "sureness_stack", "theta_map", "theta_of", "train_binary_glm", "validate_pairwise",
+    "sureness_stack", "theta_map", "train_binary_glm", "validate_pairwise",
     "worst_confused_pair",
 ]
 

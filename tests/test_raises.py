@@ -25,7 +25,6 @@ from plmkit import (
     reconstruct_from_column,
     stabilize_clip,
     stabilize_drop,
-    theta_of,
     train_binary_glm,
 )
 from plmkit.coupling import couple_stack
@@ -57,8 +56,6 @@ RAISES = [
      InvalidDistributionError,
      "diagonal entry (2,2) is 0.1, expected exactly 0; "
      "complement violation at (0,1): r_ij + r_ji = 0.75, expected 1"),
-    ("theta_of at 0/1", lambda path: theta_of(PairwiseLikelihoodMatrix([[0.0, 1.0], [0.0, 0.0]])),
-     SingularityError, "pairwise entry at 0 or 1: log-odds map diverges (apply clip stabilization)"),
     # validated raw, before the clip it is measured with could zero the diagonal
     ("distance_bc invalid matrix", lambda path: distance_bc(INVALID),
      InvalidDistributionError,
@@ -127,6 +124,10 @@ RAISES = [
     ("train_binary_glm row count", lambda path: train_binary_glm(
         np.zeros((4, 2)), np.array([0, 1, 0]), GlmSpec()),
      ValueError, "need 2-D features with one row per label, got (4, 2) and (3,)"),
+    # the default epsilon, 1 / n_train, is held to the band a given one meets
+    ("train_binary_glm default epsilon at n_train 2", lambda path: train_binary_glm(
+        np.array([[-1.0], [1.0]]), np.array([0, 1]), GlmSpec(epsilon_labels=True)),
+     ValueError, "epsilon must be in (0, 0.5), got 0.5"),
     ("train_binary_glm non-finite features", lambda path: train_binary_glm(
         np.array([[0.0], [np.nan]]), np.array([0, 1]), GlmSpec()),
      ValueError, "features contain non-finite entries"),

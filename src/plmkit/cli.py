@@ -1,7 +1,9 @@
 """Command line interface: batch experiments over the CSV file formats.
 
-Exit codes: 0 success, 1 input/format error, 2 numerical failure when
-``--strict`` is set.  All outputs are deterministic given flags and seeds.
+Exit codes: 0 success, 1 input/format error, 2 numerical failure.  ``couple``
+and ``bootstrap`` report a sample that fails and go on (``couple --strict``
+exits 2 on one); ``restrict``, ``correct`` and ``distance`` still exit 2 on
+one failing sample.  All outputs are deterministic given flags and seeds.
 """
 
 from __future__ import annotations
@@ -67,12 +69,17 @@ def cmd_couple(args) -> int:
     write_posterior_stack(
         args.output, [sid for sid, good in zip(ids, ok) if good], coupled.probs[ok], failures
     )
-    for sid, msg in failures:
-        print(f"failed: {sid}: {msg}", file=sys.stderr)
+    _report(failures)
     return 2 if failures and args.strict else 0
 
 
+def _report(failures) -> None:
+    for sid, msg in failures:
+        print(f"failed: {sid}: {msg}", file=sys.stderr)
+
+
 def cmd_correct(args) -> int:
+    from .abstention import sureness_stack
     from .ensemble import CorrectionPatch, correct_stack
     from .metrics import accuracy, pairwise_accuracy
 
@@ -95,7 +102,8 @@ def cmd_correct(args) -> int:
                 pair_accs.append(pairwise_accuracy(pair_preds, labels))
         pair_acc = sum(pair_accs) / len(pair_accs) if pair_accs else float("nan")
         for mname in _METHODS:
-            coupled = couple_stack(patched, CouplingConfig(method=mname))
+            # each method coupled as its distance is measured: BC after a clip
+            coupled = sureness_stack(patched, CouplingConfig(method=mname))
             coupled.raise_first()
             winners = np.argmax(coupled.probs, axis=1).tolist()
             multi_acc = accuracy(list(zip(ids, winners)), labels)
@@ -121,7 +129,7 @@ _BOOTSTRAP_BLOCK = 1000
 
 
 def cmd_bootstrap(args) -> int:
-    from .ensemble import recombine_stack, summarize_stack
+    from .ensemble import _ALL_FAILED, recombine_stack, summarize_stack
 
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
@@ -144,8 +152,10 @@ def cmd_bootstrap(args) -> int:
     sources = np.stack(aligned, axis=1)  # (N, files, c, c)
     config = CouplingConfig(method=args.method)
     c = sources.shape[-1]
-    # per sample: mean, sd, min, nine deciles and max of each class; rows excluded
+    # per sample: mean, sd, min, nine deciles and max of each class; rows excluded;
+    # whether any of its rows coupled
     stats, excluded = np.zeros((len(ids), 13, c)), np.zeros(len(ids), dtype=np.int64)
+    some = np.zeros(len(ids), dtype=bool)
     per_block = max(1, _BOOTSTRAP_BLOCK // args.n)
     for start in range(0, len(ids), per_block):
         part = slice(start, start + per_block)
@@ -154,11 +164,13 @@ def cmd_bootstrap(args) -> int:
         # not depend on the block it is processed in
         seeds = range(args.seed + start, args.seed + start + len(block))
         coupled = couple_stack(recombine_stack(block, args.n, seeds).reshape(-1, c, c), config)
-        failed = np.array([e is not None for e in coupled.errors]).reshape(len(block), args.n)
-        stats[part], excluded[part] = summarize_stack(
-            coupled.probs.reshape(len(block), args.n, c), failed
-        )
-    write_summary_stack(args.output, ids, stats, excluded)
+        probs = coupled.probs.reshape(len(block), args.n, c)  # a failed row is NaN
+        good = some[part] = ~np.isnan(probs[:, :, 0]).all(axis=1)
+        stats[part][good], excluded[part][good] = summarize_stack(probs[good])
+    failures = [(sid, _ALL_FAILED) for sid, good in zip(ids, some) if not good]
+    kept = [sid for sid, good in zip(ids, some) if good]
+    write_summary_stack(args.output, kept, stats[some], excluded[some], failures)
+    _report(failures)
     return 0
 
 

@@ -1,8 +1,11 @@
 """Shared value types and input rules for pairwise-likelihood classification.
 
-Everything here is an immutable value object: constructors validate, arrays
-are frozen, and all operations elsewhere in the package treat these as
-read-only inputs.
+The value types are immutable: constructors validate, arrays are frozen, and
+all operations elsewhere in the package treat them as read-only inputs.  The
+input rules (labels, sample ids, pairs, probabilities, distances) are written
+here once, as masks over whole arrays that both the value types and the file
+readers call, beside the stack helpers (pair indices, diagonals, the pairwise
+screen) that the other modules share.
 """
 
 from __future__ import annotations

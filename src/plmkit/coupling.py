@@ -259,7 +259,7 @@ def _couple_method(m: np.ndarray, method: Method, errors: dict) -> tuple[np.ndar
 
 
 def _clip_stack(stack: np.ndarray, tau: float) -> np.ndarray:
-    """Every off-diagonal entry forced into [tau, 1 - tau], complements kept exact."""
+    """Every off-diagonal entry forced into [tau, 1 - tau], a moved pair's complement exact."""
     c = stack.shape[-1]
     # a stack already inside, with +0.0 (all bits zero) diagonals, is its own clip
     if (
@@ -269,11 +269,10 @@ def _clip_stack(stack: np.ndarray, tau: float) -> np.ndarray:
     ):
         return stack
     clipped = np.clip(stack, tau, 1.0 - tau)
-    mirror = clipped.swapaxes(1, 2)
-    # the lower triangle mirrors each clipped upper entry; untouched pairs
-    # keep their original complements bit-for-bit
-    lower = np.where(mirror != stack.swapaxes(1, 2), 1.0 - mirror, stack)
-    m = np.where(strict_upper(c), clipped, lower)
+    # a lower entry is the complement of its upper where the clip moved that
+    # upper entry, and its own clip elsewhere
+    moved = (clipped != stack) & strict_upper(c)
+    m = np.where(moved.swapaxes(1, 2), 1.0 - clipped.swapaxes(1, 2), clipped)
     diagonals(m)[...] = 0.0
     return m
 
@@ -318,8 +317,10 @@ class CoupledStack(NamedTuple):
 
     ``residual`` is the method's distance at the answer: the objective value
     p'Qp for Wu-Lin-Weng, the projection residual norm for Bayes covariant.
-    ``errors[k]`` is the error row ``k`` raised, or ``None``; a failed row's
-    ``probs`` and ``residual`` are NaN.
+    ``errors[k]`` is the error row ``k`` raised, or ``None``.  A failed row's
+    ``probs`` and ``residual`` are NaN in every entry and a row without an
+    error holds no NaN, so ``probs`` alone records which rows failed: the
+    record ``summarize_stack`` reads.
     """
 
     probs: np.ndarray
@@ -393,8 +394,9 @@ def couple(matrix: PairwiseLikelihoodMatrix, config: CouplingConfig) -> Posterio
 def stabilize_clip(matrix: PairwiseLikelihoodMatrix, tau: float) -> PairwiseLikelihoodMatrix:
     """Force every off-diagonal entry into [tau, 1 - tau].
 
-    The upper triangle is clipped and the lower triangle is set to the
-    complements, so the result satisfies the pair-sum invariant exactly.
+    The upper triangle is clipped.  Where that moved an upper entry, its lower
+    entry is set to the complement, so the pair sums to 1 exactly; every
+    other lower entry is clipped itself.
     """
     require_band("tau", tau)
     return PairwiseLikelihoodMatrix(_clip_stack(matrix.entries[None], tau)[0])

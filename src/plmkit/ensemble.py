@@ -200,50 +200,52 @@ def bootstrap_recombine(
 
 
 _DECILES = np.linspace(0.1, 0.9, 9)
+_ALL_FAILED = "every matrix failed to couple"
 
 
-def _deciles(arr: np.ndarray) -> np.ndarray:
-    """(B, 9, c) deciles d10 .. d90 of a (B, m, c) block along its axis 1.
+def _deciles(ordered: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """(B, 9, c) deciles d10 .. d90 of each sample b's rows 0 .. last[b] of a
+    (B, n, c) block sorted along its axis 1.
 
-    Bit for bit ``np.quantile(arr, _DECILES, axis=1)`` (method "linear") for
-    finite input, but from one sort and without the ``numpy.ma`` import that
-    ``np.quantile`` pays: numpy's virtual index and its two-sided lerp.
+    Bit for bit ``np.quantile`` (method "linear") of those rows for finite
+    input, but without the ``numpy.ma`` import that ``np.quantile`` pays.
     """
-    m = arr.shape[1]
-    virtual = (m - 1) * _DECILES
-    lo = np.floor(virtual).astype(np.intp)
-    lo[virtual >= m - 1] = -1  # numpy's index for the last value (m == 1 here)
-    hi = np.where(lo < 0, -1, lo + 1)
-    gamma = (virtual - lo)[:, None]
-    ordered = np.sort(arr, axis=1)
-    a, b = ordered[:, lo], ordered[:, hi]
-    diff = b - a
-    out = a + diff * gamma
-    np.subtract(b, diff * (1.0 - gamma), out=out, where=gamma >= 0.5)
+    virtual = last[:, None] * _DECILES
+    lo, inner = np.floor(virtual), virtual < last[:, None]
+    # numpy takes the last row from its index -1 with weight 1, which keeps a -0.0
+    gamma = (virtual - lo + ~inner)[:, :, None]
+    # row k of sample b is row b * n + k of the block, which take gathers fastest
+    lo = lo.astype(np.intp) + (np.arange(len(ordered)) * ordered.shape[1])[:, None]
+    rows = ordered.reshape(-1, ordered.shape[2])
+    a, b = rows.take(lo, axis=0), rows.take(lo + inner, axis=0)
+    diff = b - a  # numpy's lerp, a + diff * gamma or b - diff * (1 - gamma), in place
+    out = np.add(a, diff * gamma, out=a)
+    np.subtract(b, np.multiply(diff, 1.0 - gamma, out=diff), out=out, where=gamma >= 0.5)
     return out
 
 
-def summarize_stack(probs: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def summarize_stack(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-class statistics of each sample of a (B, n, c) block of coupled rows.
 
-    ``failed`` is the (B, n) mask of the rows that failed to couple; they are
-    excluded and counted rather than aborting the summary.  Returns a
+    A row that failed to couple is NaN, as :func:`couple_stack` leaves it; it
+    is excluded and counted rather than aborting the summary.  Returns a
     (B, 13, c) array of the mean, sd, minimum, deciles d10 .. d90 and maximum
     over each sample's remaining rows, and the (B,) count of failed rows.
-    Samples with the same number of remaining rows are summarized together.
     """
     if probs.shape[1] == 0:
         raise ValueError("need at least one matrix")
-    kept = probs.shape[1] - failed.sum(axis=1)
+    failed = np.isnan(probs)
+    kept = probs.shape[1] - failed[:, :, 0].sum(axis=1)
     if np.any(kept == 0):
-        raise PlmError("every matrix failed to couple")
-    stats = np.zeros((len(probs), 13, probs.shape[2]))
-    for m in sorted(set(kept.tolist())):
-        group = np.flatnonzero(kept == m)
-        arr = probs[group][~failed[group]].reshape(group.size, m, -1)
-        stats[group, 0] = arr.mean(axis=1)
-        stats[group, 1] = arr.std(axis=1, ddof=0)
-        stats[group, 2] = arr.min(axis=1)
-        stats[group, 3:12] = _deciles(arr)
-        stats[group, 12] = arr.max(axis=1)
+        raise PlmError(_ALL_FAILED)
+    stats = np.empty((len(probs), 13, probs.shape[2]))
+    # a failed row adds the identity of each sum: -0.0 to the values, 0.0 to the squares
+    rows = np.where(failed, -0.0, probs)
+    mean = stats[:, 0] = rows.sum(axis=1) / kept[:, None]
+    np.square(np.subtract(probs, mean[:, None], out=rows), out=rows)
+    rows[failed] = 0.0
+    stats[:, 1] = np.sqrt(rows.sum(axis=1) / kept[:, None])
+    ordered = np.sort(probs, axis=1)  # the failed rows last
+    stats[:, 2], stats[:, 12] = ordered[:, 0], ordered[np.arange(len(probs)), kept - 1]
+    stats[:, 3:12] = _deciles(ordered, kept - 1)
     return stats, probs.shape[1] - kept

@@ -252,6 +252,11 @@ def _write_table(path, header: list[str], templates, values: np.ndarray, comment
         fh.writelines(comments)
 
 
+def _failed(failures) -> list[str]:
+    """The ``# failed:`` comment text of each (sample_id, message) failure."""
+    return [f"failed: {sid}: {msg}" for sid, msg in failures]
+
+
 def _write_vectors(path, prefix: str, ids: list[str], values: np.ndarray, comments=()) -> None:
     """One row per sample: its field, then its vector of the (N, n) ``values``."""
     row = ",%.17g" * values.shape[1] + "\n"
@@ -284,7 +289,7 @@ def _read_vectors(path, prefix: str, one_column=None, check=None) -> tuple[list[
 def write_posterior_stack(path, ids: list[str], probs: np.ndarray, failures=()) -> None:
     """One row per posterior of an (N, c) stack, then one ``# failed:`` comment
     per sample that failed."""
-    _write_vectors(path, "p_", ids, probs, [f"failed: {sid}: {msg}" for sid, msg in failures])
+    _write_vectors(path, "p_", ids, probs, _failed(failures))
 
 
 def read_posterior_stack(path) -> tuple[list[str], np.ndarray]:
@@ -417,8 +422,11 @@ _SUMMARY_FOOTER = np.dtype(
 )
 
 
-def write_summary_stack(path, ids: list[str], stats: np.ndarray, excluded: np.ndarray) -> None:
-    """Rows per sample per class, plus one excluded-count footer row per sample.
+def write_summary_stack(
+    path, ids: list[str], stats: np.ndarray, excluded: np.ndarray, failures=()
+) -> None:
+    """Rows per sample per class, plus one excluded-count footer row per sample,
+    then one ``# failed:`` comment per sample that could not be summarized.
 
     ``stats`` is (N, 13, c): per sample, the statistics of the header's
     columns from ``mean`` to ``max`` for each class; ``excluded`` is (N,).
@@ -431,7 +439,7 @@ def write_summary_stack(path, ids: list[str], stats: np.ndarray, excluded: np.nd
         field.join([*rows, footer.format(n)]) for field, n in zip(_quoted(ids), excluded.tolist())
     )
     values = np.swapaxes(stats, 1, 2).reshape(len(stats), c * _STATS)
-    _write_table(path, SUMMARY_HEADER, templates, values)
+    _write_table(path, SUMMARY_HEADER, templates, values, _failed(failures))
 
 
 def read_summary_stack(path) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -184,14 +184,16 @@ def pairwise_violations_ref(stack: np.ndarray) -> dict:
 
 def clip_stack_ref(stack: np.ndarray, tau: float) -> np.ndarray:
     """Clip the upper triangles through fancy indexing; a lower entry becomes
-    the complement of its clipped upper entry only where the clip moved it."""
+    the complement of its clipped upper entry where the clip moved that entry,
+    and is clipped itself elsewhere."""
     c = stack.shape[-1]
     rows, cols = np.triu_indices(c, k=1)
     m = stack.copy()
     orig = m[:, rows, cols]
     upper = np.clip(orig, tau, 1.0 - tau)
     m[:, rows, cols] = upper
-    m[:, cols, rows] = np.where(upper != orig, 1.0 - upper, m[:, cols, rows])
+    lower = np.clip(m[:, cols, rows], tau, 1.0 - tau)
+    m[:, cols, rows] = np.where(upper != orig, 1.0 - upper, lower)
     m[:, np.arange(c), np.arange(c)] = 0.0
     return m
 

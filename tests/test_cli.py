@@ -230,6 +230,18 @@ class TestCorrect:
         fits = [l.split("=")[0] for l in out.read_text().splitlines()[-2:]]
         assert fits == ["# ols bc: slope", "# ols wlw: slope"]
 
+    def test_exact_one_patch_couples_clipped(self, tmp_path):
+        """A patch probability of exactly 1 is valid: BC couples it after the clip
+        its distance is measured with, so the report is written."""
+        post, labels = tmp_path / "post.csv", tmp_path / "labels.csv"
+        assert main(["synth", str(post), str(labels), "--c", "3", "--n-per-class", "5"]) == 0
+        patch = tmp_path / "patch.csv"
+        patch.write_text("i,j,prob_i\n0,1,1.0\n")
+        out = tmp_path / "report.csv"
+        assert main(["correct", str(post), str(labels), str(out), "--patch", str(patch)]) == 0
+        rows = list(csv.reader(l for l in out.read_text().splitlines() if not l.startswith("#")))
+        assert [r[:2] for r in rows[1:]] == [[str(patch), "bc"], [str(patch), "wlw"]]
+
     def test_empty_posteriors_rejected(self, tmp_path, capsys):
         post = tmp_path / "post.csv"
         post.write_text("sample_id,p_0,p_1\n")
@@ -372,6 +384,29 @@ class TestBootstrap:
             "sample_id,class,mean,sd,min,d10,d20,d30,d40,d50,d60,d70,d80,d90,max"
         ]
 
+    def test_sample_without_coupled_row_reported(self, tmp_path, capsys):
+        """A sample none of whose recombinations couples is left out of the
+        summary and reported, and the other samples are summarized as before."""
+        post, labels = tmp_path / "post.csv", tmp_path / "labels.csv"
+        assert main(["synth", str(post), str(labels), "--c", "3", "--n-per-class", "5"]) == 0
+        ids, probs = read_posterior_stack(post)
+        sources = [theta_map_stack(probs), theta_map_stack(probs[::-1])]
+        good, bad = [tmp_path / "ok_a.csv", tmp_path / "ok_b.csv"], [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, stack in zip(good, sources):
+            write_pairwise_stack(path, ids, stack)
+        for path, stack in zip(bad, sources):
+            stack[0, 0, 1], stack[0, 1, 0] = 1.0, 0.0  # BC fails on every recombination of ids[0]
+            write_pairwise_stack(path, ids, stack)
+        out, ok = tmp_path / "o.csv", tmp_path / "ok.csv"
+        flags = ["--n", "20", "--method", "bc"]
+        assert main(["bootstrap", *map(str, good), str(ok), *flags]) == 0
+        capsys.readouterr()
+        assert main(["bootstrap", *map(str, bad), str(out), *flags]) == 0
+        assert capsys.readouterr().err == f"failed: {ids[0]}: every matrix failed to couple\n"
+        lines = out.read_text().splitlines()
+        assert lines[-1] == f"# failed: {ids[0]}: every matrix failed to couple"
+        assert lines[:-1] == [l for l in ok.read_text().splitlines() if not l.startswith(ids[0] + ",")]
+
     @pytest.mark.parametrize("method", ["wlw", "bc"])
     @pytest.mark.parametrize("n", ["1", "7", "300"])
     def test_matches_per_sample_oracle(self, tmp_path, method, n):
@@ -403,9 +438,7 @@ class TestBootstrap:
                 pick = _pair_rng(seed + s, k).integers(0, 3, size=rows.size)
                 mats[k, rows, cols] = sources[s, pick, rows, cols]
                 mats[k, cols, rows] = sources[s, pick, cols, rows]
-            coupled = couple_stack(mats, config)
-            failed = np.array([e is not None for e in coupled.errors])
-            stats, excluded = summarize_stack(coupled.probs[None], failed[None])
+            stats, excluded = summarize_stack(couple_stack(mats, config).probs[None])
             expected.append((sid, stats[0], int(excluded[0])))
         if method == "bc" and n == "300":
             assert all(0 < excluded < 300 for _, _, excluded in expected)

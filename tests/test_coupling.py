@@ -29,7 +29,7 @@ from plmkit import (
     validate_pairwise,
 )
 from plmkit import core, coupling
-from plmkit.core import from_upper, pairwise_violations, posterior_violations
+from plmkit.core import SYM_TOL, from_upper, pairwise_violations, posterior_violations
 from plmkit.coupling import _clip_stack, _solve_augmented, _wlw_system, theta_map_stack
 from oracles import clip_stack_ref, quadratic_form, random_offmanifold, random_posterior
 
@@ -333,6 +333,32 @@ class TestStabilizeClip:
         single = stabilize_clip(PairwiseLikelihoodMatrix(stack[0]), tau).entries
         assert single.tobytes() == expected[0].tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=1, max_value=6),
+        st.one_of(st.sampled_from([1e-6, 1e-3, 0.1]), st.floats(min_value=1e-9, max_value=0.49)),
+    )
+    def test_every_entry_in_band(self, seed, c, n, tau):
+        """Every off-diagonal entry of the clip lies in [tau, 1 - tau], also where
+        an unmoved upper entry's complement is off by up to SYM_TOL."""
+        rng = np.random.default_rng(seed)
+        upper = rng.random((n, c * (c - 1) // 2))
+        edge = rng.random(upper.shape) < 0.5
+        upper[edge] = rng.choice([0.0, 1.0, tau, 1.0 - tau, 0.5], size=edge.sum())
+        off = rng.uniform(-SYM_TOL, SYM_TOL, upper.shape)
+        stack = from_upper(upper, c)
+        iu = np.triu_indices(c, k=1)
+        stack[:, iu[1], iu[0]] = np.clip(1.0 - upper + off, 0.0, 1.0)
+        got = _clip_stack(stack, tau)
+        single = stabilize_clip(PairwiseLikelihoodMatrix(stack[0]), tau).entries
+        assert single.tobytes() == got[0].tobytes()
+        entries = got[:, ~np.eye(c, dtype=bool)]
+        # a moved entry's complement, 1 - fl(1 - tau), can lie one rounding below tau
+        assert entries.min() >= min(tau, 1.0 - (1.0 - tau))
+        assert entries.max() <= 1.0 - tau
+
 
 class TestStabilizeDrop:
     def test_drops_weak_class(self):
@@ -623,19 +649,20 @@ class TestCoupleStack:
             couple_stack(stack, CouplingConfig(stabilization=stabilization))
         assert str(exc.value) == "pairwise matrix contains non-finite entries"
 
-    # valid rows the fused 0/1 test must not pass: with tau = 1e-12 the lower 0
-    # survives the clip, as its mirror 1 - 1e-12 is unchanged; a 1 whose mirror
-    # 1e-10 is not 0 needs the max test, not the zero count
+    # valid rows the fused 0/1 test must not pass: a 1 whose mirror 1e-10 is
+    # not 0 needs the max test, not the zero count.  With tau = 1e-12 the clip
+    # moves the lower 0 to tau although its mirror 1 - 1e-12 is unchanged, so
+    # no clipped row is singular and that row couples
     @pytest.mark.parametrize(
-        "trap, stabilization",
+        "trap, stabilization, error",
         [
-            ([[0.0, 1.0 - 1e-12, 0.5], [0.0, 0.0, 0.5], [0.5, 0.5, 0.0]], Stabilization.CLIP),
-            ([[0.0, 1.0, 0.5], [1e-10, 0.0, 0.5], [0.5, 0.5, 0.0]], Stabilization.NONE),
-            ([[0.0, 1e-310, 0.5], [1.0 - 1e-10, 0.0, 0.5], [0.5, 0.5, 0.0]], Stabilization.NONE),
+            ([[0.0, 1.0 - 1e-12, 0.5], [0.0, 0.0, 0.5], [0.5, 0.5, 0.0]], Stabilization.CLIP, type(None)),
+            ([[0.0, 1.0, 0.5], [1e-10, 0.0, 0.5], [0.5, 0.5, 0.0]], Stabilization.NONE, SingularityError),
+            ([[0.0, 1e-310, 0.5], [1.0 - 1e-10, 0.0, 0.5], [0.5, 0.5, 0.0]], Stabilization.NONE, SingularityError),
         ],
         ids=["tiny-tau-clip", "one-beside-nonzero", "subnormal-beside-complement"],
-    )
-    def test_valid_singular_row_found(self, trap, stabilization):
+    )  # fmt: skip
+    def test_valid_singular_row_found(self, trap, stabilization, error):
         trap = np.array(trap)
         good = theta_map(Posterior([0.2, 0.3, 0.5])).entries
         config = CouplingConfig(
@@ -644,7 +671,7 @@ class TestCoupleStack:
         assert validate_pairwise(PairwiseLikelihoodMatrix(trap)) == []
         for stack in (trap[None], np.array([good, trap])):
             coupled = couple_stack(stack, config)
-            assert type(coupled.errors[-1]) is SingularityError
+            assert type(coupled.errors[-1]) is error
             assert coupled.errors[:-1] == (None,) * (len(stack) - 1)
 
     # a non-finite solution is caught with the negative ones, so a row without

@@ -150,8 +150,7 @@ class TestBootstrapRecombine:
 
 
 def _one_sample(coupled):
-    failed = np.array([e is not None for e in coupled.errors])
-    stats, excluded = summarize_stack(coupled.probs[None], failed[None])
+    stats, excluded = summarize_stack(coupled.probs[None])
     return stats[0], int(excluded[0])
 
 
@@ -285,7 +284,7 @@ class TestSummarizeStack:
         config = CouplingConfig(method=method)
         coupled = couple_stack(stack, config)
         failed = np.array([e is not None for e in coupled.errors]).reshape(samples, n)
-        stats, excluded = summarize_stack(coupled.probs.reshape(samples, n, c), failed)
+        stats, excluded = summarize_stack(coupled.probs.reshape(samples, n, c))
         for b in range(samples):
             single, single_excluded = _one_sample(couple_stack(stack[b * n : (b + 1) * n], config))
             ref = summary_ref(coupled.probs.reshape(samples, n, c)[b], ~failed[b])
@@ -315,14 +314,47 @@ class TestSummarizeStack:
         if not ties:  # pool values among uniform draws
             arr = np.where(rng.random(arr.shape) < 0.2, arr, rng.random(arr.shape))
         expected = np.quantile(arr, _DECILES, axis=1).swapaxes(0, 1)
-        assert _deciles(arr).tobytes() == expected.tobytes()
+        assert _deciles(np.sort(arr, axis=1), np.full(2, n - 1)).tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 5e-324, 2.2e-308, 0.5, 1 / 3]),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=2, max_value=12),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        st.integers(min_value=0, max_value=2**32),
+        st.booleans(),
+    )
+    def test_one_pass_equals_each_sample_alone(self, pool, samples, n, c, share, seed, ties):
+        """A block whose samples fail from none to all but one of their rows, NaN
+        as couple_stack leaves them, is summarized as each sample's kept rows
+        alone, bit for bit, with ties, exact 0 and 1, and subnormals."""
+        rng = np.random.default_rng(seed)
+        probs = np.array(pool)[rng.integers(len(pool), size=(samples, n, c))]
+        if not ties:  # pool values among uniform draws
+            probs = np.where(rng.random(probs.shape) < 0.2, probs, rng.random(probs.shape))
+        failed = rng.random((samples, n)) < share
+        failed[np.arange(samples), rng.integers(n, size=samples)] = False
+        probs[failed] = np.nan
+        stats, excluded = summarize_stack(probs)
+        for b in range(samples):
+            assert stats[b].tobytes() == summary_ref(probs[b], ~failed[b]).tobytes()
+            assert excluded[b] == np.count_nonzero(np.isnan(probs[b, :, 0]))
 
     def test_sample_with_no_coupled_row(self):
         probs = np.full((2, 3, 2), 0.5)
-        failed = np.array([[False, True, False], [True, True, True]])
+        probs[np.array([[False, True, False], [True, True, True]])] = np.nan
         with pytest.raises(PlmError, match="every matrix failed"):
-            summarize_stack(probs, failed)
+            summarize_stack(probs)
 
     def test_no_rows(self):
         with pytest.raises(ValueError, match="at least one matrix"):
-            summarize_stack(np.zeros((2, 0, 3)), np.zeros((2, 0), dtype=bool))
+            summarize_stack(np.zeros((2, 0, 3)))

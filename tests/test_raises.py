@@ -135,7 +135,7 @@ RAISES = [
      SingularityError, "posterior must be strictly positive"),
     ("recombine_stack one source", lambda path: recombine_stack(np.zeros((1, 1, 2, 2)), 3, [0]),
      ValueError, "need at least two source matrices"),
-    ("summarize no rows", lambda path: summarize_stack(np.zeros((1, 0, 2)), np.zeros((1, 0), bool)),
+    ("summarize no rows", lambda path: summarize_stack(np.zeros((1, 0, 2))),
      ValueError, "need at least one matrix"),
     ("accuracy empty", lambda path: accuracy([], LabeledBatch(samples=(), c=2)),
      ValueError, "empty prediction list"),

@@ -74,7 +74,7 @@ def distance_bc(matrix: PairwiseLikelihoodMatrix, tau: float = CouplingConfig.ta
     return sureness(matrix, _measured(Method.BAYES_COVARIANT, tau))
 
 
-def calibrate_threshold(in_distribution: list[float], quantile: float) -> float:
+def calibrate_threshold(in_distribution: list[float] | np.ndarray, quantile: float) -> float:
     """Nearest-rank empirical quantile of in-distribution distances: the
     ceil(q n)-th smallest of the n distances.
 
@@ -84,14 +84,14 @@ def calibrate_threshold(in_distribution: list[float], quantile: float) -> float:
     A tie at the threshold passes, so ties raise that rate.  NaN has no rank,
     so every distance must be finite and non-negative.
     """
-    if not in_distribution:
+    if len(in_distribution) == 0:
         raise ValueError("need at least one in-distribution distance")
     if not (0.0 < quantile < 1.0):
         raise ValueError(f"quantile must be in (0, 1), got {quantile}")
     core.require(core.distance_range(np.asarray(in_distribution, dtype=float)))
     ordered = sorted(in_distribution)
     rank = math.ceil(quantile * len(ordered))
-    return ordered[rank - 1]
+    return float(ordered[rank - 1])
 
 
 def abstaining_predict(

@@ -1,9 +1,10 @@
 """Command line interface: batch experiments over the CSV file formats.
 
-Exit codes: 0 success, 1 input/format error, 2 numerical failure.  ``couple``
-and ``bootstrap`` report a sample that fails and go on (``couple --strict``
-exits 2 on one); ``restrict``, ``correct`` and ``distance`` still exit 2 on
-one failing sample.  All outputs are deterministic given flags and seeds.
+Exit codes: 0 success, 1 input/format error, 2 numerical failure.
+``restrict``, ``couple`` and ``bootstrap`` report a sample that fails and go
+on (``couple --strict`` exits 2 on one); ``correct`` still exits 2 on a
+sample with a pair without mass.  All outputs are deterministic given flags
+and seeds.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .coupling import couple_stack, theta_map_stack
 from .fileio import (
     FORMAT_VERSION,
     FormatError,
-    read_distances,
+    read_distance_stack,
     read_labels,
     read_pairwise_stack,
     read_patch,
@@ -55,27 +56,32 @@ def _add_coupling_flags(sub):
     sub.add_argument("--rho", type=float, default=CouplingConfig.rho)
 
 
+def _write_kept(write, path, ids: list[str], errors, *arrays) -> list:
+    """Write the samples whose error is None, with their rows of ``arrays``,
+    then a ``# failed:`` comment and a stderr line for each other sample;
+    returns those (sample_id, message) failures."""
+    ok = np.array([error is None for error in errors], dtype=bool)
+    failures = [(sid, str(error)) for sid, error in zip(ids, errors) if error is not None]
+    kept = [sid for sid, good in zip(ids, ok) if good]
+    write(path, kept, *(array[ok] if failures else array for array in arrays), failures)
+    for sid, msg in failures:
+        print(f"failed: {sid}: {msg}", file=sys.stderr)
+    return failures
+
+
 def cmd_restrict(args) -> int:
     ids, probs = read_posterior_stack(args.input)
-    write_pairwise_stack(args.output, ids, theta_map_stack(probs))
+    failed: dict[int, PlmError] = {}
+    stack = theta_map_stack(probs, failed)
+    _write_kept(write_pairwise_stack, args.output, ids, [*map(failed.get, range(len(ids)))], stack)
     return 0
 
 
 def cmd_couple(args) -> int:
     ids, stack = read_pairwise_stack(args.input)
     coupled = couple_stack(stack, CouplingConfig(args.method, args.stabilize, args.tau, args.rho))
-    ok = np.array([error is None for error in coupled.errors], dtype=bool)
-    failures = [(sid, str(error)) for sid, error in zip(ids, coupled.errors) if error is not None]
-    write_posterior_stack(
-        args.output, [sid for sid, good in zip(ids, ok) if good], coupled.probs[ok], failures
-    )
-    _report(failures)
+    failures = _write_kept(write_posterior_stack, args.output, ids, coupled.errors, coupled.probs)
     return 2 if failures and args.strict else 0
-
-
-def _report(failures) -> None:
-    for sid, msg in failures:
-        print(f"failed: {sid}: {msg}", file=sys.stderr)
 
 
 def cmd_correct(args) -> int:
@@ -167,10 +173,8 @@ def cmd_bootstrap(args) -> int:
         probs = coupled.probs.reshape(len(block), args.n, c)  # a failed row is NaN
         good = some[part] = ~np.isnan(probs[:, :, 0]).all(axis=1)
         stats[part][good], excluded[part][good] = summarize_stack(probs[good])
-    failures = [(sid, _ALL_FAILED) for sid, good in zip(ids, some) if not good]
-    kept = [sid for sid, good in zip(ids, some) if good]
-    write_summary_stack(args.output, kept, stats[some], excluded[some], failures)
-    _report(failures)
+    errors = [None if good else _ALL_FAILED for good in some.tolist()]
+    _write_kept(write_summary_stack, args.output, ids, errors, stats, excluded)
     return 0
 
 
@@ -187,7 +191,7 @@ def cmd_distance(args) -> int:
 def cmd_calibrate(args) -> int:
     from .abstention import calibrate_threshold
 
-    distances = [d for _, _, d in read_distances(args.input)]
+    _, _, distances = read_distance_stack(args.input)
     threshold = calibrate_threshold(distances, args.quantile)
     print(f"{threshold:.17g}")
     return 0

@@ -48,14 +48,21 @@ _WLW = CouplingConfig(method=Method.WU_LIN_WENG)
 _BC = CouplingConfig(method=Method.BAYES_COVARIANT)
 
 
-def _restrict(probs: np.ndarray, rows, cols) -> np.ndarray:
+def _restrict(probs: np.ndarray, rows, cols, errors: dict | None = None) -> np.ndarray:
     """The (N, P) restrictions p_i / (p_i + p_j) of an (N, c) posterior stack at pairs
-    (rows[k], cols[k]); the first pair without mass, by row then pair, is singular."""
+    (rows[k], cols[k]); a row's first pair without mass is singular: the first such
+    row raises, or, given ``errors``, each gets its error there and NaN restrictions."""
     upper = probs[:, rows]
     mass = upper + probs[:, cols]
     if not mass.all():
-        k = np.flatnonzero(mass == 0.0)[0] % mass.shape[1]
-        raise SingularityError(f"p_{rows[k]} + p_{cols[k]} = 0: pair restriction undefined")
+        empty = mass == 0.0
+        failed = np.flatnonzero(empty.any(axis=1))
+        for n, k in zip(failed.tolist(), np.argmax(empty[failed], axis=1).tolist()):
+            error = SingularityError(f"p_{rows[k]} + p_{cols[k]} = 0: pair restriction undefined")
+            if errors is None:
+                raise error
+            errors[n] = error
+        upper[failed], mass[failed] = np.nan, 1.0
     return np.divide(upper, mass, out=upper)
 
 
@@ -68,11 +75,13 @@ def iia_restrict(p: Posterior, i: int, j: int) -> BinaryPrediction:
     return BinaryPrediction(class_a=i, class_b=j, prob_a=r if i < j else 1.0 - r)
 
 
-def theta_map_stack(probs: np.ndarray) -> np.ndarray:
+def theta_map_stack(probs: np.ndarray, errors: dict | None = None) -> np.ndarray:
     """Pairwise likelihood matrices of an (N, c) posterior stack; a pair with
-    one zero entry restricts to exact 0 and 1, one with two is undefined."""
+    one zero entry restricts to exact 0 and 1, one with two is undefined: its
+    row raises, or, given ``errors``, gets its error there under its index and
+    NaN off-diagonal entries, while the other rows restrict as they would alone."""
     rows, cols = triu_index(probs.shape[1])
-    return from_upper(_restrict(probs, rows, cols), probs.shape[1])
+    return from_upper(_restrict(probs, rows, cols, errors), probs.shape[1])
 
 
 def theta_map(p: Posterior) -> PairwiseLikelihoodMatrix:
@@ -259,7 +268,8 @@ def _couple_method(m: np.ndarray, method: Method, errors: dict) -> tuple[np.ndar
 
 
 def _clip_stack(stack: np.ndarray, tau: float) -> np.ndarray:
-    """Every off-diagonal entry forced into [tau, 1 - tau], a moved pair's complement exact."""
+    """Every off-diagonal entry forced into [tau, 1 - tau], a moved pair's complement
+    exact: 1 - fl(1 - tau), which can lie one rounding below tau."""
     c = stack.shape[-1]
     # a stack already inside, with +0.0 (all bits zero) diagonals, is its own clip
     if (
@@ -289,7 +299,8 @@ def _couple_dropped(
     stack: np.ndarray, config: CouplingConfig, errors: dict
 ) -> tuple[np.ndarray, np.ndarray]:
     """Couple each set of rows that keep the same classes in reduced form, which
-    is valid where the row is; dropped classes get zero mass."""
+    is valid where the row is; dropped classes get zero mass.  A single
+    survivor is a 1 x 1 coupling, which gives it all the mass with residual 0."""
     n, c = stack.shape[:2]
     masks, group, counts = np.unique(
         _survivors(stack, config.rho), axis=0, return_inverse=True, return_counts=True
@@ -300,9 +311,6 @@ def _couple_dropped(
         idx = np.flatnonzero(keep)
         if idx.size == 0:
             errors.update((int(k), EmptyResultError(_ALL_DROPPED)) for k in rows)
-        elif idx.size == 1:
-            # a single survivor takes all the mass: the one-class distribution
-            probs[rows, idx[0]] = 1.0
         else:
             failed: dict[int, PlmError] = {}
             p, r = _couple_method(stack[np.ix_(rows, idx, idx)], config.method, failed)
@@ -396,7 +404,9 @@ def stabilize_clip(matrix: PairwiseLikelihoodMatrix, tau: float) -> PairwiseLike
 
     The upper triangle is clipped.  Where that moved an upper entry, its lower
     entry is set to the complement, so the pair sums to 1 exactly; every
-    other lower entry is clipped itself.
+    other lower entry is clipped itself.  Such a complement of an entry
+    clipped to fl(1 - tau) is 1 - fl(1 - tau), which can be one rounding below
+    tau (0.09999999999999998 at tau = 0.1; at tau = 1e-3 it is above tau).
     """
     require_band("tau", tau)
     return PairwiseLikelihoodMatrix(_clip_stack(matrix.entries[None], tau)[0])

@@ -14,7 +14,6 @@ blocks, each with one ``%`` operation.  Comment lines are notes for people.
 from __future__ import annotations
 
 import csv
-import functools
 import warnings
 from itertools import islice
 
@@ -165,12 +164,7 @@ class _Table:
 
     def __init__(self, path, head: int, numbers: list[int], lines: list[str], dtype: np.dtype):
         self.path, self.head, self.numbers, self.lines = path, head, numbers, lines
-        self.dtype = dtype
-
-    @functools.cached_property
-    def records(self) -> np.ndarray:
-        # parsed on first use, so a reader can reject its header's columns first
-        return _records(self.lines, self.dtype)
+        self.dtype, self.records = dtype, _records(lines, dtype)
 
     def rows(self, mask: np.ndarray, dtype: np.dtype) -> _Table:
         """The rows picked by a mask over the records, parsed under ``dtype``."""
@@ -305,13 +299,14 @@ def read_posterior_stack(path) -> tuple[list[str], np.ndarray]:
 _PAIR_DTYPE = np.dtype([("sample_id", object), ("i", "i8"), ("j", "i8"), ("r_ij", float)])
 
 
-def write_pairwise_stack(path, ids: list[str], stack: np.ndarray) -> None:
-    """One row per upper-triangle entry of each matrix of an (N, c, c) stack."""
+def write_pairwise_stack(path, ids: list[str], stack: np.ndarray, failures=()) -> None:
+    """One row per upper-triangle entry of each matrix of an (N, c, c) stack,
+    then one ``# failed:`` comment per sample that failed."""
     rows, cols = triu_index(stack.shape[-1])
     # a sample's rows: its field before each pair's suffix
     pairs = ["", *(f",{i},{j},%.17g\n" for i, j in zip(rows.tolist(), cols.tolist()))]
     templates = (field.join(pairs) for field in _quoted(ids))
-    _write_table(path, list(_PAIR_DTYPE.names), templates, stack[:, rows, cols])
+    _write_table(path, list(_PAIR_DTYPE.names), templates, stack[:, rows, cols], _failed(failures))
 
 
 def read_pairwise_stack(path) -> tuple[list[str], np.ndarray]:
@@ -397,13 +392,15 @@ def write_distance_stack(path, ids: list[str], methods: list[str], distances: np
     _write_table(path, list(_DISTANCE_DTYPE.names), templates, np.reshape(distances, (-1, 1)))
 
 
-def read_distances(path) -> list[tuple[str, str, float]]:
-    """(sample_id, method, distance) per row; every distance finite and non-negative."""
+def read_distance_stack(path) -> tuple[list[str], list[str], np.ndarray]:
+    """The sample_ids, methods and (N,) distances of a distance file: the inverse
+    of ``write_distance_stack``.  Every distance is finite and non-negative."""
     table = _read_table(path, "sample_id,method,distance", _DISTANCE_DTYPE)
     d = table.records["distance"]
     # a reason quotes the distance as written: the line's last field
     table.check(core.distance_range(d, lambda k: table.lines[k].rstrip("\r\n").rsplit(",", 1)[1]))
-    return list(zip(*(table.records[name].tolist() for name in _DISTANCE_DTYPE.names)))
+    ids, methods = (table.records[name].tolist() for name in ("sample_id", "method"))
+    return ids, methods, np.ascontiguousarray(d)
 
 
 # -- ensemble summary files --------------------------------------------------

@@ -318,7 +318,7 @@ def posterior_rows(path, ids, probs, failures=()) -> None:
     )
 
 
-def pairwise_rows(path, ids, stack) -> None:
+def pairwise_rows(path, ids, stack, failures=()) -> None:
     c = stack.shape[-1]
     _rows_ref(
         path,
@@ -329,6 +329,7 @@ def pairwise_rows(path, ids, stack) -> None:
             for i in range(c)
             for j in range(i + 1, c)
         ],
+        [f"# failed: {sid}: {msg}\n" for sid, msg in failures],
     )
 
 

@@ -103,8 +103,16 @@ class TestCalibrateThreshold:
             calibrate_threshold([1.0, 2.0], 0.0)
 
     def test_empty_input(self):
-        with pytest.raises(ValueError):
-            calibrate_threshold([], 0.5)
+        for empty in ([], np.zeros(0)):
+            with pytest.raises(ValueError, match="need at least one in-distribution distance"):
+                calibrate_threshold(empty, 0.5)
+
+    def test_array_as_list(self):
+        # read_distance_stack gives an array; the rank picks the same float
+        distances = np.random.default_rng(8).random(37)
+        for q in (0.1, 0.5, 0.95):
+            got = calibrate_threshold(distances, q)
+            assert type(got) is float and got == calibrate_threshold(distances.tolist(), q)
 
     # NaN has no rank: accepting it would make the answer depend on the order
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])

@@ -13,7 +13,7 @@ from plmkit.cli import main
 from plmkit.coupling import couple_stack, theta_map_stack
 from plmkit.ensemble import _pair_rng, summarize_stack
 from plmkit.fileio import (
-    read_distances,
+    read_distance_stack,
     read_pairwise_stack,
     read_posterior_stack,
     write_labels,
@@ -76,12 +76,38 @@ class TestRestrict:
         np.testing.assert_allclose(coupled["a"], [0.7, 0.3, 0.0], atol=1e-12)
         np.testing.assert_allclose(coupled["b"], [0.2, 0.3, 0.5], atol=1e-12)
 
-    def test_pair_without_mass_exits_2(self, tmp_path, capsys):
-        src = tmp_path / "post.csv"
-        src.write_text("sample_id,p_0,p_1,p_2\na,0.7,0.3,0\nb,1,0,0\n")
-        assert main(["restrict", str(src), str(tmp_path / "pair.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err == "numerical failure: p_1 + p_2 = 0: pair restriction undefined\n"
+    def test_pair_without_mass_reported(self, tmp_path, capsys):
+        """A row with a pair without mass is left out and reported after the rows,
+        naming its first such pair; the other rows are written as they are alone."""
+        src, alone = tmp_path / "post.csv", tmp_path / "alone.csv"
+        src.write_text("sample_id,p_0,p_1,p_2\na,0.7,0.3,0\nb,1,0,0\nc,0.2,0.3,0.5\n")
+        alone.write_text("sample_id,p_0,p_1,p_2\na,0.7,0.3,0\nc,0.2,0.3,0.5\n")
+        out, ref = tmp_path / "pair.csv", tmp_path / "ref.csv"
+        assert main(["restrict", str(alone), str(ref)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["restrict", str(src), str(out)]) == 0
+        failure = "failed: b: p_1 + p_2 = 0: pair restriction undefined"
+        assert capsys.readouterr().err == failure + "\n"
+        assert out.read_text() == ref.read_text() + f"# {failure}\n"
+
+    def test_one_hot_synth_rows_reported(self, tmp_path, capsys):
+        """A huge separation makes synth write one-hot rows (the other classes'
+        squared distances overflow); restrict reports each one and exits 0."""
+        post, labels, pair = tmp_path / "p.csv", tmp_path / "l.csv", tmp_path / "pw.csv"
+        flags = ["--c", "3", "--n-per-class", "2", "--separation", "1e200"]
+        assert main(["synth", str(post), str(labels), *flags]) == 0
+        ids, probs = read_posterior_stack(post)
+        assert np.array_equal(probs, np.eye(3)[[0, 0, 1, 1, 2, 2]])
+        assert main(["restrict", str(post), str(pair)]) == 0
+        # the first pair without mass of a one-hot row is the pair of its two zeros
+        empty = {0: "p_1 + p_2", 1: "p_0 + p_2", 2: "p_0 + p_1"}
+        failures = [
+            f"failed: {sid}: {empty[k]} = 0: pair restriction undefined"
+            for sid, k in zip(ids, np.argmax(probs, axis=1).tolist())
+        ]
+        assert capsys.readouterr().err.splitlines() == failures
+        assert pair.read_text().splitlines()[2:] == [f"# {line}" for line in failures]
+        assert read_pairwise_stack(pair)[0] == []
 
 
 class TestCouple:
@@ -453,9 +479,9 @@ class TestDistanceCalibrate:
         assert main(["restrict", str(posterior_file), str(pair)]) == 0
         for method in ("wlw", "bc"):
             assert main(["distance", str(pair), str(dist), "--method", method]) == 0
-            for _, m, d in read_distances(dist):
-                assert m == method
-                assert d <= 1e-10
+            _, methods, distances = read_distance_stack(dist)
+            assert methods == [method] * 3
+            assert distances.max() <= 1e-10
 
     def test_calibrate_prints_threshold(self, tmp_path, capsys):
         dist = tmp_path / "dist.csv"

@@ -25,6 +25,7 @@ from plmkit import (
     reconstruct_from_column,
     stabilize_clip,
     stabilize_drop,
+    sureness_stack,
     theta_map,
     validate_pairwise,
 )
@@ -134,6 +135,17 @@ class TestThetaMap:
         else:
             by_row = np.concatenate([theta_map_stack(row[None]) for row in probs])
             assert np.array_equal(theta_map_stack(probs), by_row)
+        # given a dict, each such row gets its error and NaN entries instead,
+        # and every other row restricts as it does alone
+        found = {}
+        stack = theta_map_stack(probs, found)
+        assert [str(found[k]) for k in sorted(found)] == errors
+        assert all(type(error) is SingularityError for error in found.values())
+        for k, row in enumerate(probs):
+            if k in found:
+                assert np.isnan(stack[k][~np.eye(c, dtype=bool)]).all()
+            else:
+                assert stack[k].tobytes() == theta_map_stack(row[None])[0].tobytes()
 
     def test_output_valid(self):
         rng = np.random.default_rng(3)
@@ -358,6 +370,15 @@ class TestStabilizeClip:
         # a moved entry's complement, 1 - fl(1 - tau), can lie one rounding below tau
         assert entries.min() >= min(tau, 1.0 - (1.0 - tau))
         assert entries.max() <= 1.0 - tau
+
+    @pytest.mark.parametrize("tau, low", [(0.1, 0.09999999999999998), (1e-3, 0.0010000000000000009)])
+    def test_complement_of_a_clipped_entry(self, tau, low):
+        """The documented rounding: the complement of an entry clipped to
+        fl(1 - tau) is 1 - fl(1 - tau), one rounding below tau at tau = 0.1."""
+        upper = 1.0 - tau / 2  # 0.95 at tau = 0.1
+        got = stabilize_clip(PairwiseLikelihoodMatrix([[0.0, upper], [1.0 - upper, 0.0]]), tau).entries
+        assert got[0, 1] == 1.0 - tau and got[1, 0] == 1.0 - (1.0 - tau) == low
+        assert (low < tau) == (tau == 0.1)
 
 
 class TestStabilizeDrop:
@@ -615,6 +636,63 @@ class TestCoupleStack:
         assert again.probs.tobytes() == coupled.probs.tobytes()
         assert again.residual.tobytes() == coupled.residual.tobytes()
         assert [(type(e), str(e)) for e in again.errors] == [(type(e), str(e)) for e in errors]
+
+    # Wu, Lin & Weng (2004): the direct solve of a valid matrix stays on the
+    # simplex, so no valid stack fails WLW, nor BC as its distance clips it
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=8))
+    def test_every_valid_stack_couples(self, data, c, n):
+        entry = st.one_of(
+            st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1e-16, 1.0 - 1e-16, 0.5]),
+            st.floats(min_value=0.0, max_value=1.0),
+        )
+        size = c * (c - 1) // 2
+        upper = data.draw(st.lists(entry, min_size=n * size, max_size=n * size))
+        stack = from_upper(np.reshape(upper, (n, size)), c)
+        for coupled in (
+            couple_stack(stack, CouplingConfig()),
+            sureness_stack(stack, CouplingConfig(method="bc")),
+        ):
+            assert coupled.errors == (None,) * n
+            assert posterior_violations(coupled.probs) == {}
+
+    # class dropping couples each row in the reduced form stabilize_drop gives,
+    # and a single survivor is its 1 x 1 coupling: one-hot, residual +0.0
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=6))
+    def test_drop_rows_couple_their_reduced_matrix(self, data, c, n):
+        entry = st.one_of(
+            st.sampled_from([0.0, 1.0, 1e-5, 5e-4, 1.0 - 1e-5, 0.5]),
+            st.floats(min_value=0.0, max_value=1.0),
+        )
+        size = c * (c - 1) // 2
+        upper = data.draw(st.lists(entry, min_size=n * size, max_size=n * size))
+        stack = from_upper(np.reshape(upper, (n, size)), c)
+        rho = data.draw(st.sampled_from([1e-3, 0.05, 0.3]))
+        for method in Method:
+            config = CouplingConfig(method, Stabilization.DROP_CLASSES, rho=rho)
+            coupled = couple_stack(stack, config)
+            for k in range(n):
+                got = (coupled.probs[k].tobytes(), coupled.residual[k].tobytes())
+                try:
+                    reduced, survivors = stabilize_drop(PairwiseLikelihoodMatrix(stack[k]), rho)
+                except EmptyResultError as exc:
+                    error = coupled.errors[k]
+                    assert type(error) is EmptyResultError and str(error) == str(exc)
+                    continue
+                expected = np.zeros(c)
+                if reduced is None:
+                    expected[survivors] = 1.0
+                    assert coupled.errors[k] is None
+                    assert got == (expected.tobytes(), np.float64(0.0).tobytes())
+                    continue
+                alone = couple_stack(reduced.entries[None], CouplingConfig(method))
+                if coupled.errors[k] is not None:
+                    error, same = coupled.errors[k], alone.errors[0]
+                    assert type(error) is type(same) and str(error) == str(same)
+                    continue
+                expected[survivors] = alone.probs[0]
+                assert got == (expected.tobytes(), alone.residual[0].tobytes())
 
     def test_bad_row_is_isolated(self):
         good = theta_map(Posterior([0.2, 0.3, 0.5])).entries

@@ -14,7 +14,7 @@ from plmkit.ensemble import correct_stack
 from plmkit.fileio import (
     FormatError,
     read_confusion,
-    read_distances,
+    read_distance_stack,
     read_features,
     read_labels,
     read_pairwise_stack,
@@ -117,9 +117,9 @@ class TestRoundTrip:
         )
         path = tmp_path_factory.mktemp("rt") / "dist.csv"
         write_distance_stack(path, ids, [m.value for m in methods], np.array(distances))
-        got = read_distances(path)
-        assert [row[:2] for row in got] == [(sid, m.value) for sid, m in zip(ids, methods)]
-        assert np.array([d for _, _, d in got]).tobytes() == np.array(distances).tobytes()
+        got_ids, got_methods, got = read_distance_stack(path)
+        assert got_ids == ids and got_methods == [m.value for m in methods]
+        assert got.tobytes() == np.array(distances).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), st.integers(min_value=2, max_value=8))
@@ -193,7 +193,7 @@ class TestRoundTrip:
         write_labels(tmp_path / "lab.csv", LabeledBatch(samples=(("#a", 0), ("b", 1)), c=2))
         assert read_labels(tmp_path / "lab.csv").samples == (("#a", 0), ("b", 1))
         write_distance_stack(tmp_path / "dist.csv", ["#a", "b"], ["bc", "bc"], np.full(2, 0.5))
-        assert [sid for sid, _, _ in read_distances(tmp_path / "dist.csv")] == ["#a", "b"]
+        assert read_distance_stack(tmp_path / "dist.csv")[0] == ["#a", "b"]
         write_features(tmp_path / "feat.csv", [" #a", "b"], np.zeros((2, 1)))
         assert read_features(tmp_path / "feat.csv")[0] == [" #a", "b"]
         stats = np.full((2, 13, 2), 0.5)
@@ -345,19 +345,19 @@ MALFORMED = [
      "{path}:4: invalid literal for int() with base 10: 'x'"),
     ("patch not a number", read_patch, PRE + PATCH + "# x\n0,1,half\n",
      "{path}:5: could not convert string to float: 'half'"),
-    ("distances wrong header", read_distances, PRE + "sample_id,distance\n",
+    ("distances wrong header", read_distance_stack, PRE + "sample_id,distance\n",
      "{path}:3: expected header sample_id,method,distance"),
-    ("distances long row", read_distances, PRE + DIST + "a,bc,0.5\na,bc,0.5,1\n",
+    ("distances long row", read_distance_stack, PRE + DIST + "a,bc,0.5\na,bc,0.5,1\n",
      "{path}:5: expected 3 fields, got 4"),
-    ("distances not a number", read_distances, PRE + DIST + "\na,bc,far\n",
+    ("distances not a number", read_distance_stack, PRE + DIST + "\na,bc,far\n",
      "{path}:5: could not convert string to float: 'far'"),
-    ("distance negative", read_distances, PRE + DIST + "a,bc,0.5\n# x\nb,wlw,-0.5\n",
+    ("distance negative", read_distance_stack, PRE + DIST + "a,bc,0.5\n# x\nb,wlw,-0.5\n",
      "{path}:6: distance '-0.5' is not finite and non-negative"),
-    ("distance quoted negative", read_distances, PRE + DIST + '"a,""b""",bc,-1\n',
+    ("distance quoted negative", read_distance_stack, PRE + DIST + '"a,""b""",bc,-1\n',
      "{path}:4: distance '-1' is not finite and non-negative"),
-    ("distance nan", read_distances, PRE + DIST + "a,bc,nan\n",
+    ("distance nan", read_distance_stack, PRE + DIST + "a,bc,nan\n",
      "{path}:4: distance 'nan' is not finite and non-negative"),
-    ("distance infinite", read_distances, PRE + DIST + "a,bc,0\nb,bc,inf\n",
+    ("distance infinite", read_distance_stack, PRE + DIST + "a,bc,0\nb,bc,inf\n",
      "{path}:5: distance 'inf' is not finite and non-negative"),
     # the checks of the table reader: patch pairs, and the formats that had no reader
     ("patch i >= j", read_patch, PRE + PATCH + "0,1,0.5\n\n2,1,0.5\n",
@@ -413,7 +413,7 @@ MALFORMED = [
     ("labels digit separator", read_labels, PRE + LAB + "a,1_0\n", "{path}:4: cannot read numbers ['1_0']: " + SPELLING),
     ("patch non-ASCII digit", read_patch, PRE + PATCH + "0,١,0.5\n",
      "{path}:4: cannot read numbers ['0', '١', '0.5']: " + SPELLING),
-    ("distance digit separator", read_distances, PRE + DIST + "a,bc,1_0.5\n",
+    ("distance digit separator", read_distance_stack, PRE + DIST + "a,bc,1_0.5\n",
      "{path}:4: cannot read numbers ['1_0.5']: " + SPELLING),
     ("summary count beyond 64 bits", read_summary_stack, PRE + SUM + _class_row("a", 0) + _footer("a", 2**64),
      f"{{path}}:5: cannot read numbers ['{2**64}']: " + SPELLING),
@@ -428,7 +428,7 @@ MALFORMED = [
      f"{{path}}:11: a field is longer than {LIMIT} characters"),
     ("quoted header field beyond the csv limit", read_labels, PRE + f'"{TOO_LONG}",label\n',
      "{path}:3: expected header sample_id,label"),
-    ("distance beside an unquoted field beyond the csv limit", read_distances,
+    ("distance beside an unquoted field beyond the csv limit", read_distance_stack,
      PRE + DIST + f"{TOO_LONG},bc,-1\n", "{path}:4: distance '-1' is not finite and non-negative"),
 ]  # fmt: skip
 
@@ -587,7 +587,8 @@ def test_writer_matches_row_by_row_oracle(tmp_path_factory, fmt, data, ids, c):
         args = ids, floats(len(ids), c), failures
         writer, oracle = write_posterior_stack, oracles.posterior_rows
     elif fmt == "pairwise":
-        args = ids, floats(len(ids), c, c)
+        failures = [(ids[0], "p_0 + p_1 = 0: 100% undefined")]
+        args = ids, floats(len(ids), c, c), failures
         writer, oracle = write_pairwise_stack, oracles.pairwise_rows
     elif fmt == "labels":
         samples = tuple(zip(ids, counts(len(ids), 2**62).tolist()))

@@ -1,10 +1,9 @@
 """Command line interface: batch experiments over the CSV file formats.
 
 Exit codes: 0 success, 1 input/format error, 2 numerical failure.
-``restrict``, ``couple`` and ``bootstrap`` report a sample that fails and go
-on (``couple --strict`` exits 2 on one); ``correct`` still exits 2 on a
-sample with a pair without mass.  All outputs are deterministic given flags
-and seeds.
+``restrict``, ``couple``, ``bootstrap`` and ``correct`` report a sample that
+fails and go on (``couple --strict`` exits 2 on one, ``correct`` when every
+sample fails).  All outputs are deterministic given flags and seeds.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from . import __version__
 from .core import (
     BinaryPrediction,
     CouplingConfig,
+    LabeledBatch,
     Method,
     PlmError,
     Stabilization,
@@ -79,6 +79,8 @@ def cmd_restrict(args) -> int:
 
 def cmd_couple(args) -> int:
     ids, stack = read_pairwise_stack(args.input)
+    if not ids:  # a file without rows has no class count
+        raise FormatError(f"{args.input}: no samples to couple")
     coupled = couple_stack(stack, CouplingConfig(args.method, args.stabilize, args.tau, args.rho))
     failures = _write_kept(write_posterior_stack, args.output, ids, coupled.errors, coupled.probs)
     return 2 if failures and args.strict else 0
@@ -93,6 +95,15 @@ def cmd_correct(args) -> int:
     if not ids:
         raise FormatError(f"{args.posteriors}: no samples to correct")
     labels = read_labels(args.labels, c=probs.shape[1])
+    # a sample with a pair without mass is left out of every row and reported
+    failed: dict[int, PlmError] = {}
+    theta_map_stack(probs, failed)
+    if len(failed) == len(ids):
+        raise failed[0]
+    failures = [(ids[n], str(error)) for n, error in failed.items()]
+    dropped = {sid for sid, _ in failures}
+    ids, probs = [sid for sid in ids if sid not in dropped], np.delete(probs, list(failed), axis=0)
+    labels = LabeledBatch([s for s in labels.samples if s[0] not in dropped], labels.c)
     truth = labels.labels_by_id()
     rows = []
     for patch_path in args.patch:
@@ -126,7 +137,9 @@ def cmd_correct(args) -> int:
             else:
                 slope, intercept = np.polyfit(x, y, 1)
                 fits.append((mname, slope, intercept))
-    write_report(args.output, rows, fits)
+    write_report(args.output, rows, fits, failures)
+    for sid, msg in failures:
+        print(f"failed: {sid}: {msg}", file=sys.stderr)
     return 0
 
 

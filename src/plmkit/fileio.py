@@ -57,88 +57,70 @@ def _fields(line: str) -> list[str] | None:
         return None
 
 
-def _columns(dtype: np.dtype) -> list[tuple[str, int | None, str]]:
-    """(field name, index in a subarray field or None, kind) of each CSV column."""
-    return [
-        (name, m if dtype[name].shape else None, dtype[name].base.kind)
-        for name in dtype.names
-        for m in range(int(np.prod(dtype[name].shape)))
-    ]
-
-
 def _load(texts: list[str], dtype: np.dtype) -> np.ndarray:
-    """Raises ValueError or DeprecationWarning where a line does not parse.
+    """One record per line of ``texts``; raises ValueError or DeprecationWarning
+    where a line does not parse.
 
-    Older numpy reads ``2.7`` or ``nan`` in an integer field as a float cast
-    to int, with only a DeprecationWarning; made an error here, it rejects
-    such a line on every numpy.
+    numpy reads a quoted field as the csv module does, but a quote left open
+    at a line's end runs on into the next line and joins the two into one
+    record; the record count makes that an error too.  Older numpy reads
+    ``2.7`` or ``nan`` in an integer field as a float cast to int, with only
+    a DeprecationWarning; made an error here, it rejects such a line on every
+    numpy.
     """
     if not texts:
         return np.zeros(0, dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(
-            texts, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
-        )
+        records = np.loadtxt(texts, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+    if len(records) != len(texts):
+        raise ValueError("a quote left open at a line's end joined lines")
+    return records
 
 
 def _records(lines: list[str], dtype: np.dtype) -> np.ndarray:
-    """One record per line, for the longest prefix of ``lines`` that parses.
+    """One record per line, for the longest prefix of ``lines`` that parses
+    with each quote closed on its own line.
 
     ``dtype`` is structured, one column per CSV field: object columns hold
-    strings, the others numbers.  A line without a double quote is split on
-    commas, which is what CSV means there.  A line with one goes through the
-    csv module on its own, so a quote never spans lines; if that gives the
-    wrong field count, or a comma inside a number, the line ends the prefix.
+    strings, the others numbers.  Where the lines do not parse at once, a
+    bisection finds the longest prefix that does.  The line after it either
+    fails alone and ends the records, or follows a line that left a quote
+    open, which the prefix's end closed as the line's end would; then the
+    records go on from it.
     """
-    columns = _columns(dtype)
-    kinds = [kind for _, _, kind in columns]
-    texts, quoted = lines, {}
-    if '"' in "".join(lines):
-        texts = list(lines)
-        for k, line in enumerate(lines):
-            if '"' in line:
-                fields = _fields(line) or []
-                numbers = [f for f, kind in zip(fields, kinds) if kind != "O"]
-                if len(fields) != len(columns) or any("," in f for f in numbers):
-                    del texts[k:]
-                    break
-                # strings may hold commas: parse them empty and put them back after
-                texts[k] = ",".join("" if kind == "O" else f for f, kind in zip(fields, kinds))
-                quoted[k] = fields
-    try:
-        records = _load(texts, dtype)
-    except (ValueError, DeprecationWarning):
-        good, bad = 0, len(texts)  # texts[:good] parse, texts[:bad] do not
+    parts, rest = [], lines
+    while True:
+        good, bad, size = 0, len(rest) + 1, len(rest)  # rest[:good] parse, rest[:bad] do not
+        part = _load([], dtype)
         while bad - good > 1:
-            mid = (good + bad) // 2
             try:
-                _load(texts[:mid], dtype)
-                good = mid
+                part, good = _load(rest[:size], dtype), size
             except (ValueError, DeprecationWarning):
-                bad = mid
-        records = _load(texts[:good], dtype)
-    for k, fields in quoted.items():
-        for field, (name, m, kind) in zip(fields, columns):
-            if kind == "O" and k < len(records):
-                records[name][k if m is None else (k, m)] = field
-    return records
+                bad = size
+            size = (good + bad) // 2
+        parts.append(part)
+        if good in (0, len(rest)):
+            return np.concatenate(parts) if len(parts) > 1 else part
+        rest = rest[good:]
 
 
 def _unparsed(line: str, dtype: np.dtype) -> str:
     """Why a line the bulk parse stopped at is not a row: a long field, field count or number."""
-    fields, columns = _fields(line), _columns(dtype)
+    fields = _fields(line)
+    # the kind of each CSV column: a subarray field has one per entry
+    kinds = [dtype[n].base.kind for n in dtype.names for _ in range(int(np.prod(dtype[n].shape)))]
     if fields is None:
         return f"a field is longer than {csv.field_size_limit()} characters"
-    if len(fields) != len(columns):
-        return f"expected {len(columns)} fields, got {len(fields)}"
-    for text, (_, _, kind) in zip(fields, columns):
+    if len(fields) != len(kinds):
+        return f"expected {len(kinds)} fields, got {len(fields)}"
+    for text, kind in zip(fields, kinds):
         try:
             {"i": int, "f": float}.get(kind, str)(text)
         except ValueError as exc:
             return str(exc)
     # int() and float() read these; np.loadtxt does not
-    numbers = [text for text, (_, _, kind) in zip(fields, columns) if kind != "O"]
+    numbers = [text for text, kind in zip(fields, kinds) if kind != "O"]
     return (
         f"cannot read numbers {numbers!r}: digit separators, non-ASCII digits "
         "and integers beyond 64 bits are not supported"
@@ -219,12 +201,9 @@ def _one_line(text: str, name: str) -> str:
 def _quoted(texts, name: str = "sample_id") -> list[str]:
     """String fields as in a row template: quoted as the csv module quotes
     them and where a line would read as a comment, with ``%`` doubled."""
-    out, limit = [], csv.field_size_limit()
+    out = []
     for text in texts:
         _one_line(text, name)
-        # a reader splits a line with any quote by the csv module, which rejects such a field
-        if len(text) > limit:
-            raise ValueError(f"{name} of {len(text)} characters is over the csv limit {limit}")
         if '"' in text or "," in text or text.lstrip().startswith("#"):
             text = '"' + text.replace('"', '""') + '"'
         out.append(text.replace("%", "%%"))
@@ -486,8 +465,9 @@ _REPORT_DTYPE = np.dtype([
 ])  # fmt: skip
 
 
-def write_report(path, rows: list, fits: list) -> None:
-    """One row per (patch, method), then one ``# ols`` comment per fitted method.
+def write_report(path, rows: list, fits: list, failures=()) -> None:
+    """One row per (patch, method), then one ``# ols`` comment per fitted method
+    and one ``# failed:`` comment per sample left out.
 
     A fit whose slope is ``None`` is written as undefined.
     """
@@ -501,7 +481,7 @@ def write_report(path, rows: list, fits: list) -> None:
         else f"ols {method}: slope={slope:.17g} intercept={intercept:.17g}"
         for method, slope, intercept in fits
     ]
-    _write_table(path, list(_REPORT_DTYPE.names), templates, values, ols)
+    _write_table(path, list(_REPORT_DTYPE.names), templates, values, ols + _failed(failures))
 
 
 def read_report(path) -> list[tuple[str, str, float, float]]:

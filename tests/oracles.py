@@ -8,6 +8,7 @@ least-squares problem.
 
 import csv
 import io
+import warnings
 
 import numpy as np
 
@@ -398,3 +399,56 @@ def report_rows(path, rows, fits) -> None:
 
 def patch_rows(path, triples) -> None:
     _rows_ref(path, ["i", "j", "prob_i"], [f"{i},{j},{_g(q)}\n" for i, j, q in triples])
+
+
+# -- plm-v1 table rows as read before numpy parsed quotes ----------------------
+
+
+def _load_ref(texts, dtype):
+    if not texts:
+        return np.zeros(0, dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(texts, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+
+
+def records_ref(lines: list[str], dtype: np.dtype) -> np.ndarray:
+    """fileio's records of the longest prefix of ``lines`` that parses, as read
+    with no quote handling in numpy: a line with a double quote is split by the
+    csv module alone, its string fields parsed empty and put back after, and a
+    wrong field count or a comma inside a number ends the prefix there."""
+    columns = [
+        (name, m if dtype[name].shape else None, dtype[name].base.kind)
+        for name in dtype.names
+        for m in range(int(np.prod(dtype[name].shape)))
+    ]
+    texts, quoted = list(lines), {}
+    for k, line in enumerate(lines):
+        if '"' in line:
+            try:
+                fields = next(csv.reader([line]))
+            except csv.Error:  # a field beyond the csv module's limit
+                fields = []
+            numbers = [f for f, (_, _, kind) in zip(fields, columns) if kind != "O"]
+            if len(fields) != len(columns) or any("," in f for f in numbers):
+                del texts[k:]
+                break
+            texts[k] = ",".join("" if kind == "O" else f for f, (_, _, kind) in zip(fields, columns))
+            quoted[k] = fields
+    try:
+        records = _load_ref(texts, dtype)
+    except (ValueError, DeprecationWarning):
+        good, bad = 0, len(texts)  # texts[:good] parse, texts[:bad] do not
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                _load_ref(texts[:mid], dtype)
+                good = mid
+            except (ValueError, DeprecationWarning):
+                bad = mid
+        records = _load_ref(texts[:good], dtype)
+    for k, fields in quoted.items():
+        for field, (name, m, kind) in zip(fields, columns):
+            if kind == "O" and k < len(records):
+                records[name][k if m is None else (k, m)] = field
+    return records

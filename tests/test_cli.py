@@ -149,6 +149,19 @@ class TestCouple:
         assert main(["couple", str(pair), str(tmp_path / "o.csv"), "--method", "bc"]) == 0
 
 
+    def test_file_without_rows_rejected(self, tmp_path, capsys):
+        """restrict writes no rows when every sample fails, and such a file
+        holds no class count: couple writes nothing and exits 1."""
+        post, labels, pair, back = (tmp_path / name for name in ("p.csv", "l.csv", "pw.csv", "b.csv"))
+        flags = ["--c", "3", "--n-per-class", "2", "--separation", "1e200"]
+        assert main(["synth", str(post), str(labels), *flags]) == 0
+        assert main(["restrict", str(post), str(pair)]) == 0
+        capsys.readouterr()
+        assert main(["couple", str(pair), str(back)]) == 1
+        assert capsys.readouterr().err == f"error: {pair}: no samples to couple\n"
+        assert not back.exists()
+
+
 class TestCorrect:
     def test_identity_patch_keeps_baseline(self, tmp_path, posterior_file):
         labels = tmp_path / "labels.csv"
@@ -267,6 +280,30 @@ class TestCorrect:
         assert main(["correct", str(post), str(labels), str(out), "--patch", str(patch)]) == 0
         rows = list(csv.reader(l for l in out.read_text().splitlines() if not l.startswith("#")))
         assert [r[:2] for r in rows[1:]] == [[str(patch), "bc"], [str(patch), "wlw"]]
+
+    def test_pair_without_mass_reported(self, tmp_path, capsys):
+        """A sample with a pair without mass is left out of every row and reported
+        after them; the rows are those of the files without it.  If every
+        sample fails, the first failure is a numerical failure."""
+        post, labels, patch = tmp_path / "post.csv", tmp_path / "labels.csv", tmp_path / "patch.csv"
+        post.write_text("sample_id,p_0,p_1,p_2\ns0,1,0,0\ns1,0.2,0.3,0.5\ns2,0.6,0.3,0.1\n")
+        labels.write_text("sample_id,label\ns0,0\ns1,1\ns2,0\n")
+        patch.write_text("i,j,prob_i\n0,1,0.7\n")
+        kept_post, kept_labels = tmp_path / "kept_post.csv", tmp_path / "kept_labels.csv"
+        kept_post.write_text("sample_id,p_0,p_1,p_2\ns1,0.2,0.3,0.5\ns2,0.6,0.3,0.1\n")
+        kept_labels.write_text("sample_id,label\ns1,1\ns2,0\n")
+        out, ref = tmp_path / "report.csv", tmp_path / "ref.csv"
+        flags = ["--patch", str(patch), "--ols"]
+        assert main(["correct", str(kept_post), str(kept_labels), str(ref), *flags]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["correct", str(post), str(labels), str(out), *flags]) == 0
+        failure = "failed: s0: p_1 + p_2 = 0: pair restriction undefined"
+        assert capsys.readouterr().err == failure + "\n"
+        assert out.read_text() == ref.read_text() + f"# {failure}\n"
+
+        post.write_text("sample_id,p_0,p_1,p_2\ns0,1,0,0\ns1,0,1,0\n")
+        assert main(["correct", str(post), str(labels), str(out), *flags]) == 2
+        assert capsys.readouterr().err == "numerical failure: p_1 + p_2 = 0: pair restriction undefined\n"
 
     def test_empty_posteriors_rejected(self, tmp_path, capsys):
         post = tmp_path / "post.csv"

@@ -13,7 +13,6 @@ blocks, each with one ``%`` operation.  Comment lines are notes for people.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from itertools import islice
 
@@ -40,7 +39,8 @@ def _lines(path) -> tuple[list[int], list[str]]:
     """The lines that are neither blank nor comments, with their 1-based numbers.
 
     A comment is a line whose stripped text starts with ``#``; a ``#``
-    anywhere else is data.
+    anywhere else is data.  A line ends at ``\n``, ``\r`` or ``\r\n``, so
+    none holds a line break before its end.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -48,34 +48,27 @@ def _lines(path) -> tuple[list[int], list[str]]:
     return numbers, [lines[n - 1] for n in numbers]
 
 
-def _fields(line: str) -> list[str] | None:
-    """The CSV fields of a single line, or None where one is longer than the csv
-    module's process-wide limit; a quote never continues onto the next line."""
-    try:
-        return next(csv.reader([line]))
-    except csv.Error:
-        return None
-
-
 def _load(texts: list[str], dtype: np.dtype) -> np.ndarray:
-    """One record per line of ``texts``; raises ValueError or DeprecationWarning
+    """One row per line of ``texts``: a record under a structured ``dtype``, the
+    line's fields under a plain one; raises ValueError or DeprecationWarning
     where a line does not parse.
 
-    numpy reads a quoted field as the csv module does, but a quote left open
-    at a line's end runs on into the next line and joins the two into one
-    record; the record count makes that an error too.  Older numpy reads
-    ``2.7`` or ``nan`` in an integer field as a float cast to int, with only
-    a DeprecationWarning; made an error here, it rejects such a line on every
-    numpy.
+    numpy reads a quoted field as the csv module does, with no limit on its
+    length, but a quote left open at a line's end runs on into the next line
+    and joins the two into one row; the row count makes that an error too.
+    Older numpy reads ``2.7`` or ``nan`` in an integer field as a float cast
+    to int, with only a DeprecationWarning; made an error here, it rejects
+    such a line on every numpy.  One line of ``_lines`` always splits into
+    its fields under ``object``.
     """
     if not texts:
         return np.zeros(0, dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        records = np.loadtxt(texts, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
-    if len(records) != len(texts):
+        rows = np.loadtxt(texts, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    if len(rows) != len(texts):
         raise ValueError("a quote left open at a line's end joined lines")
-    return records
+    return rows[:, 0] if dtype.names else rows  # a record array comes back as one column
 
 
 def _records(lines: list[str], dtype: np.dtype) -> np.ndarray:
@@ -87,31 +80,32 @@ def _records(lines: list[str], dtype: np.dtype) -> np.ndarray:
     bisection finds the longest prefix that does.  The line after it either
     fails alone and ends the records, or follows a line that left a quote
     open, which the prefix's end closed as the line's end would; then the
-    records go on from it.
+    records go on from it, and the search for their end gallops from one
+    line (1, 2, 4, ... lines, then a bisection inside the last step).  A
+    restart thus costs what its own lines cost, and n lines that each leave
+    a quote open pass O(n log n) lines to ``np.loadtxt``.
     """
-    parts, rest = [], lines
+    parts, start, size = [], 0, len(lines)
     while True:
-        good, bad, size = 0, len(rest) + 1, len(rest)  # rest[:good] parse, rest[:bad] do not
-        part = _load([], dtype)
+        n = len(lines) - start
+        good, bad, part = 0, n + 1, _load([], dtype)  # the next good lines parse, the next bad do not
         while bad - good > 1:
             try:
-                part, good = _load(rest[:size], dtype), size
+                part, good = _load(lines[start : start + size], dtype), size
             except (ValueError, DeprecationWarning):
                 bad = size
-            size = (good + bad) // 2
+            size = min(2 * good, n) if bad > n else (good + bad) // 2  # gallop until a prefix fails
         parts.append(part)
-        if good in (0, len(rest)):
+        if good in (0, n):
             return np.concatenate(parts) if len(parts) > 1 else part
-        rest = rest[good:]
+        start, size = start + good, 1
 
 
 def _unparsed(line: str, dtype: np.dtype) -> str:
-    """Why a line the bulk parse stopped at is not a row: a long field, field count or number."""
-    fields = _fields(line)
+    """Why a line the bulk parse stopped at is not a row: its field count or a number."""
+    fields = _load([line], np.dtype(object))[0].tolist()
     # the kind of each CSV column: a subarray field has one per entry
     kinds = [dtype[n].base.kind for n in dtype.names for _ in range(int(np.prod(dtype[n].shape)))]
-    if fields is None:
-        return f"a field is longer than {csv.field_size_limit()} characters"
     if len(fields) != len(kinds):
         return f"expected {len(kinds)} fields, got {len(fields)}"
     for text, kind in zip(fields, kinds):
@@ -178,7 +172,7 @@ def _read_table(path, header: str, dtype) -> _Table:
     numbers, lines = _lines(path)
     if not lines:
         raise FormatError(f"{path}: missing header row")
-    fields = _fields(lines[0]) or []  # a line the csv module cannot read is no header
+    fields = _load(lines[:1], np.dtype(object))[0].tolist()
     dtype = dtype(fields) if callable(dtype) else (dtype if fields == header.split(",") else None)
     if dtype is None:
         raise FormatError(f"{path}:{numbers[0]}: expected header {header}")

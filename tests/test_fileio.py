@@ -257,7 +257,8 @@ SUM = ",".join(fileio.SUMMARY_HEADER) + "\n"
 CONF = "true\\pred,0,1\n"
 REPORT = "patch,method,pairwise_accuracy,multiclass_accuracy\n"
 SPELLING = "digit separators, non-ASCII digits and integers beyond 64 bits are not supported"
-# the csv module's field limit, process-wide; the readers leave it as it is
+# the csv module's default field limit; no reader has one, so a longer field
+# is read as any other
 LIMIT = csv.field_size_limit()
 TOO_LONG = "x" * (LIMIT + 1)
 
@@ -424,13 +425,15 @@ MALFORMED = [
      "{path}:4: cannot read numbers ['0', '0', '1_0']: " + SPELLING),
     ("report non-ASCII digit", read_report, PRE + REPORT + "p.csv,bc,0.5,١\n",
      "{path}:4: cannot read numbers ['0.5', '١']: " + SPELLING),
-    # the csv module names why a line does not parse, and cannot split a field beyond its limit
+    # a line whose field is beyond the csv module's limit is split and named as any other
     ("quoted field beyond the csv limit", read_pairwise_stack, PRE + HEAD + OK + f'\n"{TOO_LONG}",0,1\n',
-     f"{{path}}:11: a field is longer than {LIMIT} characters"),
+     "{path}:11: expected 4 fields, got 3"),
     ("quoted header field beyond the csv limit", read_labels, PRE + f'"{TOO_LONG}",label\n',
      "{path}:3: expected header sample_id,label"),
     ("distance beside an unquoted field beyond the csv limit", read_distance_stack,
      PRE + DIST + f"{TOO_LONG},bc,-1\n", "{path}:4: distance '-1' is not finite and non-negative"),
+    ("missing distance beside an unquoted field beyond the csv limit", read_distance_stack,
+     PRE + DIST + f"{TOO_LONG},bc\n", "{path}:4: expected 3 fields, got 2"),
 ]  # fmt: skip
 
 
@@ -451,7 +454,8 @@ def test_integer_float_fallback_is_rejected(tmp_path, monkeypatch):
     loadtxt = np.loadtxt
 
     def lenient(texts, **kwargs):
-        if any(",2.7," in text for text in texts):
+        # only a record's integer field is cast; a line split into text fields is not
+        if kwargs["dtype"].names and any(",2.7," in text for text in texts):
             warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                           DeprecationWarning, stacklevel=2)
             texts = [text.replace(",2.7,", ",2,") for text in texts]
@@ -536,6 +540,30 @@ def test_records_match_the_per_line_csv_reader(tmp_path_factory, table):
         assert got == _outcome(reader, path)
 
 
+def test_open_quote_restarts_stay_near_linear(tmp_path, monkeypatch):
+    """Each line that leaves a quote open restarts the record search after it;
+    n such lines pass at most 2 n log2 n lines to ``np.loadtxt``.  The data
+    lines of a file a writer emits reach it in one call."""
+    loadtxt, passed = np.loadtxt, []
+
+    def counting(texts, **kwargs):
+        passed.append(len(texts))
+        return loadtxt(texts, **kwargs)
+
+    monkeypatch.setattr(fileio.np, "loadtxt", counting)
+    n, path = 4000, tmp_path / "dist.csv"
+    path.write_text(PRE + DIST + "".join(f's{k},bc,"0.5\n' for k in range(n)))
+    ids, _, d = read_distance_stack(path)
+    assert ids == [f"s{k}" for k in range(n)] and (d == 0.5).all()
+    assert sum(passed) <= 2 * n * math.log2(n)
+
+    passed.clear()
+    stack = np.full((50, 4, 4), 0.5) - 0.5 * np.eye(4)
+    write_pairwise_stack(path, [f"s{k}" for k in range(50)], stack)
+    assert read_pairwise_stack(path)[1].tobytes() == stack.tobytes()
+    assert passed == [1, 50 * 6]  # the header line, then every data line at once
+
+
 class TestSummaries:
     def test_bulk_writer_matches_row_by_row_format(self, tmp_path):
         ids = ["s0", 's,"1"', "s 2"]
@@ -609,9 +637,8 @@ IDS_READ.update(
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 @pytest.mark.parametrize("head", [",", "x"], ids=["quoted", "unquoted"])
 def test_sample_id_beyond_the_csv_limit_rejected(tmp_path, writer, head):
-    """Not rejected: a sample_id longer than the csv module's field limit,
-    which the writers refused while the readers split quoted lines with that
-    module, is written and read back, quoted or not."""
+    """A sample_id longer than the csv module's field limit is written and
+    read back, quoted or not: no writer or reader limits a field's length."""
     path, sid = tmp_path / "out.csv", head + "x" * LIMIT
     WRITERS[writer](path, sid)
     assert IDS_READ[writer](path)[-1] == sid

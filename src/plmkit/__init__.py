@@ -31,10 +31,7 @@ _EXPORTS = {
         "accuracy", "argmax_predict", "confusion_matrix", "pairwise_accuracy",
         "worst_confused_pair",
     ),
-    "datagen": (
-        "BlobSpec", "FittedGlm", "GlmSpec", "Link", "bayes_posterior_blobs", "generate_blobs",
-        "perturb_manifold", "train_binary_glm",
-    ),
+    "datagen": ("BlobSpec", "bayes_posterior_blobs", "generate_blobs", "perturb_manifold"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -161,6 +161,22 @@ class TestCouple:
         assert capsys.readouterr().err == f"error: {pair}: no samples to couple\n"
         assert not back.exists()
 
+    @pytest.mark.parametrize("method", ["wlw", "bc"])
+    def test_file_without_rows_distance_and_calibrate(self, tmp_path, capsys, method):
+        """distance on a pairwise file without rows writes a header-only file
+        and exits 0; calibrate on that file has no distance and exits 1."""
+        post, labels, pair, dist = (tmp_path / name for name in ("p.csv", "l.csv", "pw.csv", "d.csv"))
+        flags = ["--c", "3", "--n-per-class", "2", "--separation", "1e200"]
+        assert main(["synth", str(post), str(labels), *flags]) == 0
+        assert main(["restrict", str(post), str(pair)]) == 0
+        capsys.readouterr()
+        assert main(["distance", str(pair), str(dist), "--method", method]) == 0
+        assert dist.read_text() == "# plm-v1\nsample_id,method,distance\n"
+        ids, methods, distances = read_distance_stack(dist)
+        assert ids == [] and methods == [] and distances.shape == (0,)
+        assert main(["calibrate", str(dist)]) == 1
+        assert capsys.readouterr() == ("", "error: need at least one in-distribution distance\n")
+
 
 class TestCorrect:
     def test_identity_patch_keeps_baseline(self, tmp_path, posterior_file):

@@ -5,9 +5,6 @@ from hypothesis import strategies as st
 
 from plmkit import (
     BlobSpec,
-    FittedGlm,
-    GlmSpec,
-    Link,
     Posterior,
     bayes_posterior_blobs,
     couple_bc,
@@ -15,12 +12,20 @@ from plmkit import (
     generate_blobs,
     perturb_manifold,
     theta_map,
-    train_binary_glm,
     validate_pairwise,
 )
-from plmkit import datagen
 from plmkit.datagen import bayes_posterior_stack
-from oracles import bayes_posterior_ref, glm_loglik_ref, perturb_manifold_ref, random_posterior
+import oracles
+from oracles import (
+    FittedGlm,
+    GlmSpec,
+    Link,
+    bayes_posterior_ref,
+    glm_loglik_ref,
+    perturb_manifold_ref,
+    random_posterior,
+    train_binary_glm,
+)
 
 
 def make_spec(**overrides):
@@ -157,7 +162,7 @@ class TestTrainBinaryGlm:
         x, y = self._two_blob_data(seed=6, sep=12.0)
         fit = train_binary_glm(x, y, GlmSpec())
         assert fit.converged is False
-        assert fit.iterations == datagen._MAX_ITERATIONS
+        assert fit.iterations == oracles._MAX_ITERATIONS
 
     def test_collinear_features_end_the_fit(self):
         # a repeated column makes the information matrix exactly singular
@@ -168,18 +173,18 @@ class TestTrainBinaryGlm:
 
     def test_step_is_halved_at_most_the_limit(self, monkeypatch):
         # every trial point lowers the log-likelihood, so no step is taken
-        terms, calls = datagen._terms, []
+        terms, calls = oracles._terms, []
 
         def falling(eta, t, link):
             loglik, score, info = terms(eta, t, link)
             calls.append(eta)
             return (loglik if len(calls) == 1 else -np.inf), score, info
 
-        monkeypatch.setattr(datagen, "_terms", falling)
+        monkeypatch.setattr(oracles, "_terms", falling)
         x, y = self._two_blob_data(seed=8)
         fit = train_binary_glm(x, y, GlmSpec())
         assert fit.converged is False and fit.iterations == 1
-        assert len(calls) == 1 + datagen._MAX_HALVINGS
+        assert len(calls) == 1 + oracles._MAX_HALVINGS
         assert not fit.weights.any() and fit.intercept == 0.0
 
     def test_rounding_at_the_optimum_is_not_a_fall(self):
@@ -242,11 +247,26 @@ class TestPerturbManifold:
         tiny_entries = 10.0 ** -rng.uniform(250, 300, size=small.size)
         probs[small] = np.where(rng.random(small.size) < 0.3, 1e-300, tiny_entries)
         p = Posterior(probs / probs.sum())
-        # an entry of exactly 1 has log-odds log(0) on both sides
+        got = perturb_manifold(p, scale, seed).entries
+        # the reference warns where a pair rounds to 1 (log-odds log(0)) and where exp overflows
         with np.errstate(divide="ignore", over="ignore"):
-            got = perturb_manifold(p, scale, seed).entries
             ref = perturb_manifold_ref(p.probs, scale, seed)
         assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "probs, scale, seed",
+        [([1.0, 5e-324], 0.5, 1), ([1e-300, 0.5, 0.5], 50.0, 3)],
+        ids=["pair rounds to 1", "exp overflows"],
+    )
+    def test_exact_limits_warn_nothing(self, probs, scale, seed):
+        """A pair that rounds to exactly 1 has log-odds log(0), and a large noise
+        overflows exp; both limits give exact 0/1 entries, and in this suite a
+        warning is an error."""
+        out = perturb_manifold(Posterior(probs), scale, seed)
+        with np.errstate(divide="ignore", over="ignore"):
+            ref = perturb_manifold_ref(np.array(probs), scale, seed)
+        assert out.entries.tobytes() == ref.tobytes()
+        assert validate_pairwise(out) == [] and out.entries[0, 1] in (0.0, 1.0)
 
     def test_outputs_valid_for_large_noise(self):
         rng = np.random.default_rng(12)

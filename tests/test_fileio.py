@@ -636,7 +636,7 @@ IDS_READ.update(
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 @pytest.mark.parametrize("head", [",", "x"], ids=["quoted", "unquoted"])
-def test_sample_id_beyond_the_csv_limit_rejected(tmp_path, writer, head):
+def test_sample_id_of_any_length_round_trips(tmp_path, writer, head):
     """A sample_id longer than the csv module's field limit is written and
     read back, quoted or not: no writer or reader limits a field's length."""
     path, sid = tmp_path / "out.csv", head + "x" * LIMIT

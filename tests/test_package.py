@@ -27,16 +27,14 @@ def test_import_loads_nothing_until_a_name_is_used():
 
 EXPORTS = [
     "Abstain", "BinaryPrediction", "BlobSpec", "CorrectionPatch", "CoupledStack", "CouplingConfig",
-    "EmptyResultError", "FittedGlm", "GlmSpec", "InvalidDistributionError",
-    "LabeledBatch", "Link", "Method", "NumericalFailureError", "PairwiseLikelihoodMatrix",
-    "PlmError", "Posterior", "ShapeError", "SingularityError", "Stabilization",
-    "abstaining_predict", "accuracy", "argmax_predict", "bayes_posterior_blobs",
-    "bootstrap_recombine", "calibrate_threshold", "confusion_matrix", "couple", "couple_bc",
-    "couple_stack", "couple_wlw", "delta2_value", "distance_bc", "distance_wlw",
-    "generate_blobs", "iia_restrict", "pairwise_accuracy", "partial_correct",
+    "EmptyResultError", "InvalidDistributionError", "LabeledBatch", "Method",
+    "NumericalFailureError", "PairwiseLikelihoodMatrix", "PlmError", "Posterior", "ShapeError",
+    "SingularityError", "Stabilization", "abstaining_predict", "accuracy", "argmax_predict",
+    "bayes_posterior_blobs", "bootstrap_recombine", "calibrate_threshold", "confusion_matrix",
+    "couple", "couple_bc", "couple_stack", "couple_wlw", "delta2_value", "distance_bc",
+    "distance_wlw", "generate_blobs", "iia_restrict", "pairwise_accuracy", "partial_correct",
     "perturb_manifold", "reconstruct_from_column", "stabilize_clip", "stabilize_drop", "sureness",
-    "sureness_stack", "theta_map", "train_binary_glm", "validate_pairwise",
-    "worst_confused_pair",
+    "sureness_stack", "theta_map", "validate_pairwise", "worst_confused_pair",
 ]
 
 

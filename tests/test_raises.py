@@ -1,5 +1,6 @@
 """Library checks that reject their input and that no other test reaches,
-with the exception type and message of each."""
+with the exception type and message of each. The GlmSpec and
+train_binary_glm cases check the reference GLM trainer of oracles.py."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from plmkit import (
     BlobSpec,
     CorrectionPatch,
     CouplingConfig,
-    GlmSpec,
     InvalidDistributionError,
     LabeledBatch,
     PairwiseLikelihoodMatrix,
@@ -25,11 +25,11 @@ from plmkit import (
     reconstruct_from_column,
     stabilize_clip,
     stabilize_drop,
-    train_binary_glm,
 )
 from plmkit.coupling import couple_stack
 from plmkit.ensemble import recombine_stack, summarize_stack
 from plmkit.fileio import FormatError, read_posterior_stack
+from oracles import GlmSpec, train_binary_glm
 
 # a nonzero diagonal entry and a broken complement
 INVALID = PairwiseLikelihoodMatrix([[0.0, 0.5, 0.5], [0.25, 0.0, 0.5], [0.5, 0.5, 0.1]])

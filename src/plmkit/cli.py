@@ -27,6 +27,7 @@ from .coupling import couple_stack, theta_map_stack
 from .fileio import (
     FORMAT_VERSION,
     FormatError,
+    failure_lines,
     read_distance_stack,
     read_labels,
     read_pairwise_stack,
@@ -64,8 +65,7 @@ def _write_kept(write, path, ids: list[str], errors, *arrays) -> list:
     failures = [(sid, str(error)) for sid, error in zip(ids, errors) if error is not None]
     kept = [sid for sid, good in zip(ids, ok) if good]
     write(path, kept, *(array[ok] if failures else array for array in arrays), failures)
-    for sid, msg in failures:
-        print(f"failed: {sid}: {msg}", file=sys.stderr)
+    sys.stderr.writelines(f"{line}\n" for line in failure_lines(failures))
     return failures
 
 
@@ -78,10 +78,11 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_couple(args) -> int:
+    config = CouplingConfig(args.method, args.stabilize, args.tau, args.rho)
     ids, stack = read_pairwise_stack(args.input)
     if not ids:  # a file without rows has no class count
         raise FormatError(f"{args.input}: no samples to couple")
-    coupled = couple_stack(stack, CouplingConfig(args.method, args.stabilize, args.tau, args.rho))
+    coupled = couple_stack(stack, config)
     failures = _write_kept(write_posterior_stack, args.output, ids, coupled.errors, coupled.probs)
     return 2 if failures and args.strict else 0
 
@@ -97,18 +98,18 @@ def cmd_correct(args) -> int:
     labels = read_labels(args.labels, c=probs.shape[1])
     # a sample with a pair without mass is left out of every row and reported
     failed: dict[int, PlmError] = {}
-    theta_map_stack(probs, failed)
+    stack = theta_map_stack(probs, failed)
     if len(failed) == len(ids):
         raise failed[0]
     failures = [(ids[n], str(error)) for n, error in failed.items()]
     dropped = {sid for sid, _ in failures}
-    ids, probs = [sid for sid in ids if sid not in dropped], np.delete(probs, list(failed), axis=0)
+    ids, stack = [sid for sid in ids if sid not in dropped], np.delete(stack, list(failed), axis=0)
     labels = LabeledBatch([s for s in labels.samples if s[0] not in dropped], labels.c)
     truth = labels.labels_by_id()
     rows = []
     for patch_path in args.patch:
         triples = read_patch(patch_path, c=probs.shape[1])
-        patched = correct_stack(probs, CorrectionPatch(pairs=tuple(triples)))
+        patched = correct_stack(stack, CorrectionPatch(pairs=tuple(triples)))
         # the patch's own accuracy on its pairs; a sample without a label is
         # rejected by accuracy() below
         pair_accs = []
@@ -138,22 +139,24 @@ def cmd_correct(args) -> int:
                 slope, intercept = np.polyfit(x, y, 1)
                 fits.append((mname, slope, intercept))
     write_report(args.output, rows, fits, failures)
-    for sid, msg in failures:
-        print(f"failed: {sid}: {msg}", file=sys.stderr)
+    sys.stderr.writelines(f"{line}\n" for line in failure_lines(failures))
     return 0
 
 
 # matrices recombined and coupled at once: bounds bootstrap's memory for any input size
 _BOOTSTRAP_BLOCK = 1000
+_ALL_FAILED = "every matrix failed to couple"
 
 
 def cmd_bootstrap(args) -> int:
-    from .ensemble import _ALL_FAILED, recombine_stack, summarize_stack
+    from .ensemble import recombine_stack, summarize_stack
 
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
+    if len(args.inputs) < 2:
+        raise ValueError("need at least two source matrices")
     parsed = {path: read_pairwise_stack(path) for path in dict.fromkeys(args.inputs)}
     files = [parsed[path] for path in args.inputs]
     ids, first = files[0]
@@ -171,10 +174,8 @@ def cmd_bootstrap(args) -> int:
     sources = np.stack(aligned, axis=1)  # (N, files, c, c)
     config = CouplingConfig(method=args.method)
     c = sources.shape[-1]
-    # per sample: mean, sd, min, nine deciles and max of each class; rows excluded;
-    # whether any of its rows coupled
+    # per sample: mean, sd, min, nine deciles and max of each class; rows excluded
     stats, excluded = np.zeros((len(ids), 13, c)), np.zeros(len(ids), dtype=np.int64)
-    some = np.zeros(len(ids), dtype=bool)
     per_block = max(1, _BOOTSTRAP_BLOCK // args.n)
     for start in range(0, len(ids), per_block):
         part = slice(start, start + per_block)
@@ -183,10 +184,8 @@ def cmd_bootstrap(args) -> int:
         # not depend on the block it is processed in
         seeds = range(args.seed + start, args.seed + start + len(block))
         coupled = couple_stack(recombine_stack(block, args.n, seeds).reshape(-1, c, c), config)
-        probs = coupled.probs.reshape(len(block), args.n, c)  # a failed row is NaN
-        good = some[part] = ~np.isnan(probs[:, :, 0]).all(axis=1)
-        stats[part][good], excluded[part][good] = summarize_stack(probs[good])
-    errors = [None if good else _ALL_FAILED for good in some.tolist()]
+        stats[part], excluded[part] = summarize_stack(coupled.probs.reshape(len(block), args.n, c))
+    errors = [_ALL_FAILED if count == args.n else None for count in excluded.tolist()]
     _write_kept(write_summary_stack, args.output, ids, errors, stats, excluded)
     return 0
 
@@ -194,8 +193,9 @@ def cmd_bootstrap(args) -> int:
 def cmd_distance(args) -> int:
     from .abstention import sureness_stack
 
+    config = CouplingConfig(method=args.method, tau=args.tau)
     ids, stack = read_pairwise_stack(args.input)
-    coupled = sureness_stack(stack, CouplingConfig(method=args.method, tau=args.tau))
+    coupled = sureness_stack(stack, config)
     coupled.raise_first()
     write_distance_stack(args.output, ids, [args.method] * len(ids), coupled.residual)
     return 0

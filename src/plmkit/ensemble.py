@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import PairwiseLikelihoodMatrix, PlmError, Posterior, ShapeError, triu_index
+from .core import PairwiseLikelihoodMatrix, Posterior, ShapeError, triu_index
 from .coupling import theta_map_stack
 
 
@@ -34,19 +34,18 @@ def _columns(patch: CorrectionPatch) -> list[np.ndarray]:
     return [np.array([pair[k] for pair in patch.pairs]) for k in range(3)]
 
 
-def correct_stack(probs: np.ndarray, patch: CorrectionPatch) -> np.ndarray:
-    """Pairwise matrices of an (N, c) posterior stack with the patched pairs' entries replaced."""
-    core.require(core.class_bound(*_columns(patch)[:2], probs.shape[1]))
-    m = theta_map_stack(probs)
-    for i, j, q in patch.pairs:
-        m[:, int(i), int(j)] = q
-        m[:, int(j), int(i)] = 1.0 - q
+def correct_stack(stack: np.ndarray, patch: CorrectionPatch) -> np.ndarray:
+    """A copy of an (N, c, c) pairwise stack with the patched pairs' entries replaced."""
+    i, j, q = _columns(patch)
+    core.require(core.class_bound(i, j, stack.shape[-1]))
+    i, j, m = i.astype(np.intp), j.astype(np.intp), stack.copy()
+    m[:, i, j], m[:, j, i] = q, 1.0 - q
     return m
 
 
 def partial_correct(p: Posterior, patch: CorrectionPatch) -> PairwiseLikelihoodMatrix:
     """Pairwise matrix of ``p`` with the patched pairs' entries replaced."""
-    return PairwiseLikelihoodMatrix(correct_stack(p.probs[None], patch)[0])
+    return PairwiseLikelihoodMatrix(correct_stack(theta_map_stack(p.probs[None]), patch)[0])
 
 
 def _pair_rng(seed: int, index: int) -> np.random.Generator:
@@ -200,7 +199,6 @@ def bootstrap_recombine(
 
 
 _DECILES = np.linspace(0.1, 0.9, 9)
-_ALL_FAILED = "every matrix failed to couple"
 
 
 def _deciles(ordered: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -230,14 +228,14 @@ def summarize_stack(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A row that failed to couple is NaN, as :func:`couple_stack` leaves it; it
     is excluded and counted rather than aborting the summary.  Returns a
     (B, 13, c) array of the mean, sd, minimum, deciles d10 .. d90 and maximum
-    over each sample's remaining rows, and the (B,) count of failed rows.
+    over each sample's remaining rows, and the (B,) count of failed rows: n,
+    with NaN statistics, for a sample none of whose rows coupled.
     """
     if probs.shape[1] == 0:
         raise ValueError("need at least one matrix")
     failed = np.isnan(probs)
-    kept = probs.shape[1] - failed[:, :, 0].sum(axis=1)
-    if np.any(kept == 0):
-        raise PlmError(_ALL_FAILED)
+    excluded = failed[:, :, 0].sum(axis=1)
+    kept = np.maximum(probs.shape[1] - excluded, 1)  # no 0 / 0: a sample without rows is NaN below
     stats = np.empty((len(probs), 13, probs.shape[2]))
     # a failed row adds the identity of each sum: -0.0 to the values, 0.0 to the squares
     rows = np.where(failed, -0.0, probs)
@@ -248,4 +246,5 @@ def summarize_stack(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ordered = np.sort(probs, axis=1)  # the failed rows last
     stats[:, 2], stats[:, 12] = ordered[:, 0], ordered[np.arange(len(probs)), kept - 1]
     stats[:, 3:12] = _deciles(ordered, kept - 1)
-    return stats, probs.shape[1] - kept
+    stats[excluded == probs.shape[1]] = np.nan
+    return stats, excluded

@@ -219,8 +219,8 @@ def _write_table(path, header: list[str], templates, values: np.ndarray, comment
         fh.writelines(comments)
 
 
-def _failed(failures) -> list[str]:
-    """The ``# failed:`` comment text of each (sample_id, message) failure."""
+def failure_lines(failures) -> list[str]:
+    """The ``failed: <id>: <message>`` text of each failure, in files and on stderr."""
     return [f"failed: {sid}: {msg}" for sid, msg in failures]
 
 
@@ -256,7 +256,7 @@ def _read_vectors(path, prefix: str, one_column=None, check=None) -> tuple[list[
 def write_posterior_stack(path, ids: list[str], probs: np.ndarray, failures=()) -> None:
     """One row per posterior of an (N, c) stack, then one ``# failed:`` comment
     per sample that failed."""
-    _write_vectors(path, "p_", ids, probs, _failed(failures))
+    _write_vectors(path, "p_", ids, probs, failure_lines(failures))
 
 
 def read_posterior_stack(path) -> tuple[list[str], np.ndarray]:
@@ -279,7 +279,8 @@ def write_pairwise_stack(path, ids: list[str], stack: np.ndarray, failures=()) -
     # a sample's rows: its field before each pair's suffix
     pairs = ["", *(f",{i},{j},%.17g\n" for i, j in zip(rows.tolist(), cols.tolist()))]
     templates = (field.join(pairs) for field in _quoted(ids))
-    _write_table(path, list(_PAIR_DTYPE.names), templates, stack[:, rows, cols], _failed(failures))
+    header, values = list(_PAIR_DTYPE.names), stack[:, rows, cols]
+    _write_table(path, header, templates, values, failure_lines(failures))
 
 
 def read_pairwise_stack(path) -> tuple[list[str], np.ndarray]:
@@ -409,7 +410,7 @@ def write_summary_stack(
         field.join([*rows, footer.format(n)]) for field, n in zip(_quoted(ids), excluded.tolist())
     )
     values = np.swapaxes(stats, 1, 2).reshape(len(stats), c * _STATS)
-    _write_table(path, SUMMARY_HEADER, templates, values, _failed(failures))
+    _write_table(path, SUMMARY_HEADER, templates, values, failure_lines(failures))
 
 
 def read_summary_stack(path) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -475,7 +476,7 @@ def write_report(path, rows: list, fits: list, failures=()) -> None:
         else f"ols {method}: slope={slope:.17g} intercept={intercept:.17g}"
         for method, slope, intercept in fits
     ]
-    _write_table(path, list(_REPORT_DTYPE.names), templates, values, ols + _failed(failures))
+    _write_table(path, list(_REPORT_DTYPE.names), templates, values, ols + failure_lines(failures))
 
 
 def read_report(path) -> list[tuple[str, str, float, float]]:

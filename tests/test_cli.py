@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plmkit import CouplingConfig, LabeledBatch, Method, NumericalFailureError, cli
+from plmkit import CouplingConfig, LabeledBatch, Method, NumericalFailureError, cli, ensemble
 from plmkit.cli import main
 from plmkit.coupling import couple_stack, theta_map_stack
 from plmkit.ensemble import _pair_rng, summarize_stack
@@ -147,6 +147,34 @@ class TestCouple:
         pair = tmp_path / "pair.csv"
         write_pairwise_stack(pair, ["a"], SINGULAR_BC)
         assert main(["couple", str(pair), str(tmp_path / "o.csv"), "--method", "bc"]) == 0
+
+    def test_drop_matches_library(self, tmp_path):
+        """--stabilize drop writes couple_stack's rows under the same config; a
+        class that loses a contest below rho, or all but one, reads exactly 0."""
+        probs = np.array([[0.7, 0.25, 0.05], [0.2, 0.3, 0.5], [0.05, 0.05, 0.9]])
+        pair, out = tmp_path / "pair.csv", tmp_path / "out.csv"
+        write_pairwise_stack(pair, ["a", "b", "c"], theta_map_stack(probs))
+        assert main(["couple", str(pair), str(out), "--stabilize", "drop", "--rho", "0.1"]) == 0
+        ids, coupled = read_posterior_stack(out)
+        config = CouplingConfig("wlw", "drop", rho=0.1)
+        expected = couple_stack(read_pairwise_stack(pair)[1], config).probs
+        assert ids == ["a", "b", "c"] and coupled.tobytes() == expected.tobytes()
+        assert coupled[0, 2] == 0.0 and (coupled[1] > 0.0).all()
+        assert coupled[2].tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("couple", ["--tau", "0.7"], "tau must be in (0, 0.5), got 0.7"),
+            ("couple", ["--rho", "0"], "rho must be in (0, 0.5), got 0.0"),
+            ("distance", ["--tau", "0.7"], "tau must be in (0, 0.5), got 0.7"),
+        ],
+    )
+    def test_bad_threshold_rejected_before_reading(self, tmp_path, capsys, command, flags, message):
+        out = tmp_path / "o.csv"
+        assert main([command, str(tmp_path / "nosuch.csv"), str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
     def test_file_without_rows_rejected(self, tmp_path, capsys):
@@ -321,6 +349,34 @@ class TestCorrect:
         assert main(["correct", str(post), str(labels), str(out), *flags]) == 2
         assert capsys.readouterr().err == "numerical failure: p_1 + p_2 = 0: pair restriction undefined\n"
 
+    def test_restricts_once(self, tmp_path, posterior_file, monkeypatch):
+        """Every patch is applied to the one restriction of the posteriors: a
+        run restricts once however many patches it has, and each patch's rows
+        are those of a run with that patch alone."""
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, LabeledBatch(samples=(("a", 2), ("b", 2), ("c", 0)), c=3))
+        patches = [tmp_path / f"p{k}.csv" for k in range(3)]
+        for patch, rows in zip(patches, ["0,1,0.9\n", "0,2,0.1\n1,2,0.6\n", ""]):
+            patch.write_text("i,j,prob_i\n" + rows)
+        args, alone = ["correct", str(posterior_file), str(labels)], []
+        for k, patch in enumerate(patches):
+            out = tmp_path / f"alone{k}.csv"
+            assert main([*args, str(out), "--patch", str(patch)]) == 0
+            alone += out.read_text().splitlines()[2:]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return theta_map_stack(*args)
+
+        for module in (cli, ensemble):
+            monkeypatch.setattr(module, "theta_map_stack", counting)
+        out = tmp_path / "all.csv"
+        flags = [flag for patch in patches for flag in ("--patch", str(patch))]
+        assert main([*args, str(out), *flags]) == 0
+        assert len(calls) == 1
+        assert out.read_text().splitlines()[2:] == alone
+
     def test_empty_posteriors_rejected(self, tmp_path, capsys):
         post = tmp_path / "post.csv"
         post.write_text("sample_id,p_0,p_1\n")
@@ -451,6 +507,18 @@ class TestBootstrap:
         out = tmp_path / "o.csv"
         assert main(["bootstrap", str(a), str(b), str(out), "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", ["rows", "no rows", "missing"])
+    def test_one_input_refused_before_reading(self, tmp_path, capsys, rows):
+        a, _ = self._write_sources(tmp_path)
+        if rows == "no rows":
+            write_pairwise_stack(a, [], np.zeros((0, 2, 2)))
+        elif rows == "missing":
+            a.unlink()
+        out = tmp_path / "o.csv"
+        assert main(["bootstrap", str(a), str(out)]) == 1
+        assert capsys.readouterr().err == "error: need at least two source matrices\n"
         assert not out.exists()
 
     def test_empty_input_writes_header_only(self, tmp_path):

@@ -10,8 +10,8 @@ from plmkit import (
     CouplingConfig,
     Method,
     PairwiseLikelihoodMatrix,
-    PlmError,
     Posterior,
+    SingularityError,
     bootstrap_recombine,
     couple,
     partial_correct,
@@ -19,7 +19,7 @@ from plmkit import (
     validate_pairwise,
 )
 from plmkit import ensemble
-from plmkit.coupling import couple_stack
+from plmkit.coupling import couple_stack, theta_map_stack
 from plmkit.ensemble import (
     _DECILES,
     _deciles,
@@ -48,10 +48,12 @@ class TestCorrectionPatch:
 class TestPartialCorrect:
     # an index that is a whole float names its class, as the int does
     def test_integral_float_indices(self):
-        probs = np.array([[0.2, 0.3, 0.5]])
-        by_int = ensemble.correct_stack(probs, CorrectionPatch(pairs=((0, 2, 0.9),)))
-        by_float = ensemble.correct_stack(probs, CorrectionPatch(pairs=((0.0, 2.0, 0.9),)))
+        stack = theta_map_stack(np.array([[0.2, 0.3, 0.5]]))
+        by_int = ensemble.correct_stack(stack, CorrectionPatch(pairs=((0, 2, 0.9),)))
+        by_float = ensemble.correct_stack(stack, CorrectionPatch(pairs=((0.0, 2.0, 0.9),)))
         assert by_float.tobytes() == by_int.tobytes()
+        # the patched stack is a copy
+        assert stack.tobytes() == theta_map_stack(np.array([[0.2, 0.3, 0.5]])).tobytes()
 
     def test_identity_patch(self):
         p = Posterior([0.2, 0.3, 0.5])
@@ -75,6 +77,12 @@ class TestPartialCorrect:
     def test_class_out_of_range(self):
         with pytest.raises(ValueError):
             partial_correct(Posterior([0.5, 0.5]), CorrectionPatch(pairs=((0, 5, 0.5),)))
+
+    def test_pair_without_mass_raises_before_class_bound(self):
+        # the posterior is restricted before the patch is checked against it,
+        # as the correct command reads the patch after restricting
+        with pytest.raises(SingularityError, match="p_0 \\+ p_1 = 0"):
+            partial_correct(Posterior([0.0, 0.0, 1.0]), CorrectionPatch(pairs=((0, 5, 0.5),)))
 
     def test_empty_patch_round_trip(self):
         rng = np.random.default_rng(2)
@@ -350,10 +358,15 @@ class TestSummarizeStack:
             assert excluded[b] == np.count_nonzero(np.isnan(probs[b, :, 0]))
 
     def test_sample_with_no_coupled_row(self):
-        probs = np.full((2, 3, 2), 0.5)
-        probs[np.array([[False, True, False], [True, True, True]])] = np.nan
-        with pytest.raises(PlmError, match="every matrix failed"):
-            summarize_stack(probs)
+        """A sample none of whose rows coupled has NaN statistics and all its
+        rows excluded, without a warning (warnings are errors in the tests);
+        the other samples are summarized as alone, bit for bit."""
+        probs = np.random.default_rng(5).random((3, 4, 2))
+        probs[0], probs[2, 1] = np.nan, np.nan
+        stats, excluded = summarize_stack(probs)
+        assert np.isnan(stats[0]).all() and excluded.tolist() == [4, 0, 1]
+        for b in (1, 2):
+            assert stats[b].tobytes() == summarize_stack(probs[b : b + 1])[0][0].tobytes()
 
     def test_no_rows(self):
         with pytest.raises(ValueError, match="at least one matrix"):

@@ -750,7 +750,7 @@ def _same_outcome(path, read, build):
 
 
 def _patched(triples, c):
-    correct_stack(np.full((1, c), 1.0 / c), CorrectionPatch(pairs=triples))
+    correct_stack(np.full((1, c, c), 0.5), CorrectionPatch(pairs=triples))
     return triples
 
 

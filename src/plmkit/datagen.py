@@ -49,6 +49,8 @@ class BlobSpec:
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
         if self.n_per_class < 1:
             raise ValueError("n_per_class must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_blobs(spec: BlobSpec) -> tuple[np.ndarray, LabeledBatch]:

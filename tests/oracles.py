@@ -3,19 +3,16 @@
 Nothing here reuses the package's solvers: the quadratic objective is
 minimized by exhaustive simplex-grid search refined with a self-contained
 projected gradient loop, and the log-odds projection is solved as a generic
-least-squares problem. The binary GLM trainer lives here rather than in the
-package, as the reference a stacked trainer's per-pair fits are held to.
+least-squares problem.
 """
 
 import csv
-import enum
 import io
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from plmkit.core import SUM_TOL, SYM_TOL, require_band
+from plmkit.core import SUM_TOL, SYM_TOL
 
 
 def delta2_ref(m: np.ndarray, p: np.ndarray) -> float:
@@ -119,7 +116,7 @@ def wlw_oracle(m: np.ndarray, divisions: int = 100) -> tuple[np.ndarray, float]:
         _GRIDS[key] = simplex_grid(c, divisions)
     grid = _GRIDS[key]
     q = quadratic_form(m)
-    vals = np.einsum("nc,cd,nd->n", grid, q, grid)
+    vals = np.einsum("nc,cd,nd->n", grid, q, grid, optimize=True)
     p = pgd_refine(q, grid[int(np.argmin(vals))])
     return p, float(p @ q @ p)
 
@@ -219,129 +216,6 @@ def random_offmanifold(rng: np.random.Generator, c: int) -> np.ndarray:
             m[i, j] = r
             m[j, i] = 1.0 - r
     return m
-
-
-def glm_loglik_ref(beta: np.ndarray, x: np.ndarray, t: np.ndarray, link: str) -> float:
-    """Log-likelihood of a binary GLM with weights beta[:-1] and intercept
-    beta[-1] at targets t in [0, 1].  Cloglog's log(1 - mu) is written -exp(eta):
-    the form log(1 - mu) loses the digits a finite-difference gradient needs."""
-    eta = x @ beta[:-1] + beta[-1]
-    if link == "logit":
-        return float(np.sum(-t * np.log1p(np.exp(-eta)) - (1.0 - t) * np.log1p(np.exp(eta))))
-    return float(np.sum(t * np.log(1.0 - np.exp(-np.exp(eta))) - (1.0 - t) * np.exp(eta)))
-
-
-# A binary GLM trainer, the per-pair (P = 1) reference fit for a stacked
-# one-vs-one trainer. A fit takes at most _MAX_ITERATIONS Newton steps, each
-# halved at most _MAX_HALVINGS times, and converges once one moves no weight by
-# more than _STEP_TOLERANCE; cloglog clips eta where exp(eta) would underflow
-# or overflow
-_MAX_ITERATIONS, _MAX_HALVINGS, _STEP_TOLERANCE = 100, 30, 1e-8
-_CLOGLOG_ETA = (-700.0, 30.0)
-
-
-class Link(enum.Enum):
-    LOGIT = "logit"
-    CLOGLOG = "cloglog"
-
-
-@dataclass(frozen=True)
-class GlmSpec:
-    """Training configuration for a binary GLM with a selectable link.
-
-    With ``epsilon_labels`` the 0/1 targets are replaced by epsilon and
-    1 - epsilon; an epsilon of ``None`` defaults to 1 / n_train at fit time,
-    which must lie in the same band (0, 0.5), so n_train must exceed 2.
-    ``link`` takes a member or its value and holds the member.
-    """
-
-    link: Link = Link.LOGIT
-    epsilon_labels: bool = False
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "link", Link(self.link))
-        if self.epsilon is not None:
-            require_band("epsilon", self.epsilon)
-        if self.epsilon is not None and not self.epsilon_labels:
-            raise ValueError("epsilon is given but epsilon_labels is False")
-
-
-@dataclass(frozen=True)
-class FittedGlm:
-    """Fitted weights and intercept; callable to get P(class 1 | x)."""
-
-    weights: np.ndarray
-    intercept: float
-    link: Link
-    converged: bool
-    iterations: int
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        eta = np.atleast_2d(features) @ self.weights + self.intercept
-        return _inverse_link(eta, self.link)
-
-
-def _inverse_link(eta: np.ndarray, link: Link) -> np.ndarray:
-    """P(class 1) at the linear predictor eta; no overflow at any finite eta."""
-    if link is Link.LOGIT:
-        e = np.exp(-np.abs(eta))
-        return np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
-    return -np.expm1(-np.exp(np.clip(eta, *_CLOGLOG_ETA)))
-
-
-def _terms(eta: np.ndarray, t: np.ndarray, link: Link) -> tuple[float, np.ndarray, np.ndarray]:
-    """The log-likelihood of targets t, and per row its first derivative in eta and
-    its negated second derivative (the observed information), all free of cancellation."""
-    if link is Link.LOGIT:
-        mu, nu = _inverse_link(eta, link), _inverse_link(-eta, link)  # nu = 1 - mu
-        return np.sum(t * eta - np.logaddexp(0.0, eta)), t * nu - (1.0 - t) * mu, mu * nu
-    lam = np.exp(np.clip(eta, *_CLOGLOG_ETA))  # -log(1 - mu)
-    mu = -np.expm1(-lam)
-    odds = np.exp(-lam) / mu  # (1 - mu) / mu
-    loglik = np.sum(t * np.log(mu) - (1.0 - t) * lam)
-    return loglik, lam * (t * odds - (1.0 - t)), lam * (1.0 - t + t * odds * (lam / mu - 1.0))
-
-
-def train_binary_glm(features: np.ndarray, labels: np.ndarray, spec: GlmSpec) -> FittedGlm:
-    """Fit the GLM by Newton's method, halving a step until the log-likelihood does not fall
-    by more than the rounding of its sum (one ulp per row), which at the optimum it can."""
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if x.ndim != 2 or y.shape != x.shape[:1]:
-        raise ValueError(f"need 2-D features with one row per label, got {x.shape} and {y.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("features contain non-finite entries")
-    if set(np.unique(y)) != {0.0, 1.0}:
-        raise ValueError("need both classes present with labels in {0, 1}")
-    eps = (spec.epsilon or 1.0 / y.size) if spec.epsilon_labels else 0.0
-    if spec.epsilon_labels:
-        require_band("epsilon", eps)
-    t = np.where(y > 0.5, 1.0 - eps, eps)
-    design = np.column_stack([x, np.ones(len(x))])
-    beta = np.zeros(design.shape[1])
-    loglik, score, info = _terms(design @ beta, t, spec.link)
-    converged, iterations = False, 0
-    for iterations in range(1, _MAX_ITERATIONS + 1):
-        try:
-            step = np.linalg.solve((design.T * info) @ design, design.T @ score)
-        except np.linalg.LinAlgError:  # collinear features, or a fully saturated fit
-            break
-        if np.abs(step).max() <= _STEP_TOLERANCE:
-            beta += step
-            converged = True
-            break
-        rounding = t.size * np.spacing(abs(loglik))
-        for _ in range(_MAX_HALVINGS):
-            trial = _terms(design @ (beta + step), t, spec.link)
-            if trial[0] >= loglik - rounding:
-                break
-            step /= 2.0
-        else:  # no fraction of the step keeps the log-likelihood from falling
-            break
-        beta += step
-        loglik, score, info = trial
-    return FittedGlm(beta[:-1], float(beta[-1]), spec.link, converged, iterations)
 
 
 def bayes_posterior_ref(means: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:

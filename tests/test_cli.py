@@ -712,6 +712,12 @@ class TestSynth:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        post, labels = tmp_path / "p.csv", tmp_path / "l.csv"
+        assert main(["synth", str(post), str(labels), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     # a finite scale whose posteriors are not, as scale**2 underflows to 0;
     # rejected before the labels are written, and without a RuntimeWarning
     # (the suite makes one an error)

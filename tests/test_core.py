@@ -231,15 +231,15 @@ class TestCouplingConfig:
         cfg = CouplingConfig()
         assert cfg.tau == 1e-3 and cfg.rho == 1e-3
 
-    # 1e-17: 1 - tau rounds to 1, so a clip would leave an exact 1
-    @pytest.mark.parametrize("tau", [0.0, 0.5, -0.1, 0.7, 1e-17])
+    # 1e-17 and the subnormal 1e-320: 1 - tau rounds to 1, so a clip would leave an exact 1
+    @pytest.mark.parametrize("tau", [0.0, 0.5, -0.1, 0.7, 1e-17, 1e-320])
     def test_tau_bounds(self, tau):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^tau must be in \(0, 0\.5\), got {tau!r}$"):
             CouplingConfig(tau=tau)
 
-    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1e-17, 1e-320])
     def test_rho_bounds(self, rho):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^rho must be in \(0, 0\.5\), got {rho!r}$"):
             CouplingConfig(rho=rho)
 
 

@@ -1,6 +1,5 @@
 """Library checks that reject their input and that no other test reaches,
-with the exception type and message of each. The GlmSpec and
-train_binary_glm cases check the reference GLM trainer of oracles.py."""
+with the exception type and message of each."""
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from plmkit import (
 from plmkit.coupling import couple_stack
 from plmkit.ensemble import recombine_stack, summarize_stack
 from plmkit.fileio import FormatError, read_posterior_stack
-from oracles import GlmSpec, train_binary_glm
 
 # a nonzero diagonal entry and a broken complement
 INVALID = PairwiseLikelihoodMatrix([[0.0, 0.5, 0.5], [0.25, 0.0, 0.5], [0.5, 0.5, 0.1]])
@@ -77,6 +75,11 @@ RAISES = [
      ValueError, "tau must be in (0, 0.5), got 0.7"),
     ("stabilize_drop rho", lambda path: stabilize_drop(VALID, 0.7),
      ValueError, "rho must be in (0, 0.5), got 0.7"),
+    # 1 - value rounds to 1, so the band would bound nothing
+    ("CouplingConfig rho 1e-17", lambda path: CouplingConfig(rho=1e-17),
+     ValueError, "rho must be in (0, 0.5), got 1e-17"),
+    ("CouplingConfig tau subnormal", lambda path: CouplingConfig(tau=1e-320),
+     ValueError, "tau must be in (0, 0.5), got 1e-320"),
     ("BlobSpec means", lambda path: BlobSpec(c=2, dim=2, means=np.zeros((3, 2)), scale=1.0,
                                              n_per_class=1, seed=0),
      ValueError, "means must have shape (2,2), got (3, 2)"),
@@ -95,42 +98,20 @@ RAISES = [
     ("BlobSpec means not finite", lambda path: BlobSpec(c=2, dim=1, means=[[0.0], [np.nan]],
                                                         scale=1.0, n_per_class=1, seed=0),
      ValueError, "means must be finite"),
-    ("GlmSpec epsilon", lambda path: GlmSpec(epsilon=0.7),
-     ValueError, "epsilon must be in (0, 0.5), got 0.7"),
-    # 1 - epsilon rounds to 1: the epsilon-labels would be the hard labels
-    ("GlmSpec epsilon 1e-17", lambda path: GlmSpec(epsilon_labels=True, epsilon=1e-17),
-     ValueError, "epsilon must be in (0, 0.5), got 1e-17"),
-    ("GlmSpec epsilon subnormal", lambda path: GlmSpec(epsilon_labels=True, epsilon=1e-320),
-     ValueError, "epsilon must be in (0, 0.5), got 1e-320"),
+    ("BlobSpec negative seed", lambda path: BlobSpec(c=2, dim=1, means=np.zeros((2, 1)), scale=1.0,
+                                                     n_per_class=1, seed=-1),
+     ValueError, "seed must be >= 0, got -1"),
     # an enum field takes its member or that member's value, nothing else
     ("CouplingConfig method", lambda path: CouplingConfig(method="nope"),
      ValueError, "'nope' is not a valid Method"),
     ("CouplingConfig stabilization", lambda path: CouplingConfig(stabilization="none "),
      ValueError, "'none ' is not a valid Stabilization"),
-    ("GlmSpec link", lambda path: GlmSpec(link="probit"),
-     ValueError, "'probit' is not a valid Link"),
     # a class index must name a class, so it is a whole number
     ("CorrectionPatch fractional index", lambda path: CorrectionPatch(pairs=((0.5, 1, 0.5),)),
      ValueError, "class indices must be integers, got (0.5,1)"),
     ("CorrectionPatch NaN index", lambda path: CorrectionPatch(
         pairs=((0, 1, 0.5), (np.nan, 2, 0.5))),
      ValueError, "class indices must be integers, got (nan,2)"),
-    # an epsilon without epsilon_labels would be ignored
-    ("GlmSpec epsilon without labels", lambda path: GlmSpec(epsilon=0.1),
-     ValueError, "epsilon is given but epsilon_labels is False"),
-    ("train_binary_glm 1-D features", lambda path: train_binary_glm(
-        np.zeros(4), np.array([0, 1, 0, 1]), GlmSpec()),
-     ValueError, "need 2-D features with one row per label, got (4,) and (4,)"),
-    ("train_binary_glm row count", lambda path: train_binary_glm(
-        np.zeros((4, 2)), np.array([0, 1, 0]), GlmSpec()),
-     ValueError, "need 2-D features with one row per label, got (4, 2) and (3,)"),
-    # the default epsilon, 1 / n_train, is held to the band a given one meets
-    ("train_binary_glm default epsilon at n_train 2", lambda path: train_binary_glm(
-        np.array([[-1.0], [1.0]]), np.array([0, 1]), GlmSpec(epsilon_labels=True)),
-     ValueError, "epsilon must be in (0, 0.5), got 0.5"),
-    ("train_binary_glm non-finite features", lambda path: train_binary_glm(
-        np.array([[0.0], [np.nan]]), np.array([0, 1]), GlmSpec()),
-     ValueError, "features contain non-finite entries"),
     ("perturb_manifold zero entry", lambda path: perturb_manifold(Posterior([0.0, 1.0]), 0.1, 0),
      SingularityError, "posterior must be strictly positive"),
     ("recombine_stack one source", lambda path: recombine_stack(np.zeros((1, 1, 2, 2)), 3, [0]),

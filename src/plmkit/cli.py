@@ -22,6 +22,7 @@ from .core import (
     Method,
     PlmError,
     Stabilization,
+    require_seed,
 )
 from .coupling import couple_stack, theta_map_stack
 from .fileio import (
@@ -153,8 +154,7 @@ def cmd_bootstrap(args) -> int:
 
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be at least 0, got {args.seed}")
+    require_seed("--seed", args.seed)
     if len(args.inputs) < 2:
         raise ValueError("need at least two source matrices")
     parsed = {path: read_pairwise_stack(path) for path in dict.fromkeys(args.inputs)}

@@ -124,6 +124,13 @@ def require_band(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in (0, 0.5), got {value}")
 
 
+def require_seed(name: str, seed) -> int:
+    """The seed as an int: an integer in [0, 2**128), numpy's ``SeedSequence()`` entropy size."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 1 << 128):
+        raise ValueError(f"{name} must be an integer in [0, 2**128), got {seed}")
+    return int(seed)
+
+
 class Method(enum.Enum):
     WU_LIN_WENG = "wlw"
     BAYES_COVARIANT = "bc"

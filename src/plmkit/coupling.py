@@ -71,6 +71,9 @@ def iia_restrict(p: Posterior, i: int, j: int) -> BinaryPrediction:
     ``prob_a`` is entry (i, j) of :func:`theta_map`, bit for bit."""
     if i == j:
         raise ValueError("pair indices must differ")
+    for k in (i, j):
+        if not 0 <= k < p.c:
+            raise ValueError(f"class index {k} outside [0, {p.c})")
     r = _restrict(p.probs[None], [min(i, j)], [max(i, j)])[0, 0]
     return BinaryPrediction(class_a=i, class_b=j, prob_a=r if i < j else 1.0 - r)
 
@@ -95,11 +98,12 @@ def reconstruct_from_column(matrix: PairwiseLikelihoodMatrix, j: int) -> Posteri
     On the image of ``theta_map`` every column gives the same answer; off it,
     columns disagree (which is what the manifold-distance scores measure).
     """
+    m, c = matrix.entries, matrix.c
+    if not 0 <= j < c:
+        raise ValueError(f"class index {j} outside [0, {c})")
     violations = validate_pairwise(matrix)
     if violations:
         raise InvalidDistributionError("; ".join(violations))
-    m = matrix.entries
-    c = matrix.c
     others = np.arange(c) != j
     col = m[others, j]
     if np.any(col <= 0.0) or np.any(col >= 1.0):

@@ -17,6 +17,7 @@ from .core import (
     Posterior,
     SingularityError,
     from_upper,
+    require_seed,
     triu_index,
 )
 from .coupling import theta_map
@@ -49,8 +50,7 @@ class BlobSpec:
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
         if self.n_per_class < 1:
             raise ValueError("n_per_class must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        require_seed("seed", self.seed)
 
 
 def generate_blobs(spec: BlobSpec) -> tuple[np.ndarray, LabeledBatch]:
@@ -86,8 +86,11 @@ def perturb_manifold(p: Posterior, noise_scale: float, seed: int) -> PairwiseLik
 
     The noise acts on each upper-triangle entry's log-odds and the lower
     triangle holds the complements, so the result is a valid matrix for any
-    finite scale; a scale of zero reproduces the matrix exactly.
+    finite scale >= 0; a scale of zero reproduces the matrix exactly.
     """
+    if not 0.0 <= noise_scale < np.inf:
+        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
+    require_seed("seed", seed)
     if np.any(p.probs == 0.0):
         raise SingularityError("posterior must be strictly positive")
     base = theta_map(p)

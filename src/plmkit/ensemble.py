@@ -127,56 +127,48 @@ def _pcg_seeds(seeds: list[int], n: int) -> tuple[np.ndarray, ...]:
     return (*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
 
 
-def _stream_choices(seeds: list, n: int, sources: int, size: int) -> np.ndarray:
+def _stream_choices(seeds: list[int], n: int, sources: int, size: int) -> np.ndarray:
     """(B, n, size) source choices whose row [b, k] equals
     ``_pair_rng(seeds[b], k).integers(0, sources, size=size)`` bit for bit.
 
-    The streams are computed together.  Every stream of a seed that is not
-    an integer in [0, 2**128), every stream when ``sources`` exceeds 2**32,
-    and any stream with a Lemire rejection (chance below sources / 2**32 per
-    draw) is drawn by ``_pair_rng`` instead.
+    The streams are computed together, and one with a Lemire rejection is
+    redrawn by ``_pair_rng``.  A range above 2**32 needs no branch of its own:
+    there the threshold (2**32 - sources) % sources is 2**32, so every draw rejects.
     """
-    choice = np.zeros((len(seeds), n, size), dtype=np.int64)
-    covered = np.array(
-        [isinstance(s, (int, np.integer)) and 0 <= s < 1 << 128 for s in seeds], dtype=bool
-    )
-    if sources > 1 << 32:  # numpy draws 64-bit words for such a range
-        covered[:] = False
-    fast = np.flatnonzero(covered)
-    redo = [(b, k) for b in np.flatnonzero(~covered) for k in range(n)]
-    if fast.size:
-        hi, lo, inc_hi, inc_lo = (a.ravel() for a in _pcg_seeds([int(seeds[b]) for b in fast], n))
-        draws = np.empty((hi.size, (size + 1) // 2, 2), dtype=np.uint64)
-        # pcg64 steps once when seeded and once before each output
-        hi, lo = _add128(*_mul128(hi, lo, *_PCG_MULT), inc_hi, inc_lo)
-        for t in range(draws.shape[1]):
-            hi, lo = _add128(*_mul128(hi, lo, *_PCG_MULT), inc_hi, inc_lo)
-            x, rot = hi ^ lo, hi >> np.uint64(58)  # XSL-RR
-            x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-            draws[:, t, 0], draws[:, t, 1] = x & _LO, x >> _32
-        m = draws.reshape(hi.size, 2 * draws.shape[1])[:, :size] * np.uint64(sources)
-        choice[fast] = (m >> _32).view(np.int64).reshape(fast.size, n, size)
-        rejected = np.any((m & _LO) < ((1 << 32) - sources) % sources, axis=1)
-        redo += [(fast[r // n], r % n) for r in np.flatnonzero(rejected).tolist()]
-    for b, k in redo:
-        choice[b, k] = _pair_rng(seeds[b], k).integers(0, sources, size=size)
+    hi, lo, inc_hi, inc_lo = (a.ravel() for a in _pcg_seeds(seeds, n))
+    draws = np.empty((hi.size, (size + 1) // 2, 2), dtype=np.uint64)
+    hi, lo = _add128(*_mul128(hi, lo, *_PCG_MULT), inc_hi, inc_lo)  # pcg64's seeding step
+    for t in range(draws.shape[1]):
+        hi, lo = _add128(*_mul128(hi, lo, *_PCG_MULT), inc_hi, inc_lo)  # one before each output
+        x, rot = hi ^ lo, hi >> np.uint64(58)  # XSL-RR
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        draws[:, t, 0], draws[:, t, 1] = x & _LO, x >> _32
+    m = draws.reshape(hi.size, 2 * draws.shape[1])[:, :size] * np.uint64(sources)
+    choice = (m >> _32).view(np.int64).reshape(len(seeds), n, size)
+    for r in np.flatnonzero(np.any((m & _LO) < ((1 << 32) - sources) % sources, axis=1)).tolist():
+        choice[r // n, r % n] = _pair_rng(seeds[r // n], r % n).integers(0, sources, size=size)
     return choice
 
 
 def recombine_stack(sources: np.ndarray, n: int, seeds) -> np.ndarray:
-    """Build a (B, n, c, c) stack from a (B, S, c, c) block of source matrices:
-    in output [b, k], each pair's entries come from a uniformly random source
-    of sample b, drawn from the stream (seeds[b], k).
-
-    Pairs move atomically with their complements, so every output satisfies
-    the pairwise invariants whenever the sources do.  Deterministic given
-    the seeds; output [b, k] depends only on (seeds[b], k) and sample b.
+    """Build a (B, n, c, c) stack, n >= 0, from a (B, S, c, c) block of S >= 2
+    source matrices and B seeds that each pass :func:`core.require_seed`: in
+    output [b, k], each pair's entries come from a uniformly random source of
+    sample b, drawn from the stream (seeds[b], k).  Pairs move atomically with
+    their complements, so every output satisfies the pairwise invariants
+    whenever the sources do.  Deterministic given the seeds; output [b, k]
+    depends only on (seeds[b], k) and sample b.
     """
+    seeds = [core.require_seed("seed", seed) for seed in seeds]
     if sources.shape[1] < 2:
         raise ValueError("need at least two source matrices")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if len(seeds) != len(sources):
+        raise ValueError(f"need one seed per sample, got {len(seeds)} for {len(sources)}")
     c = sources.shape[-1]
     rows, cols = triu_index(c)
-    choice = _stream_choices(list(seeds), n, sources.shape[1], rows.size)
+    choice = _stream_choices(seeds, n, sources.shape[1], rows.size)
     sample = np.arange(len(sources))[:, None, None]
     out = np.zeros((len(sources), n, c, c))
     out[:, :, rows, cols] = sources[sample, choice, rows, cols]

@@ -506,7 +506,26 @@ class TestBootstrap:
         a, b = self._write_sources(tmp_path)
         out = tmp_path / "o.csv"
         assert main(["bootstrap", str(a), str(b), str(out), "--seed", "-1"]) == 1
-        assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+        assert capsys.readouterr().err == "error: --seed must be an integer in [0, 2**128), got -1\n"
+        assert not out.exists()
+
+    def test_seed_beyond_rule_refused_before_reading(self, tmp_path, capsys):
+        a, b, out = tmp_path / "missing_a.csv", tmp_path / "missing_b.csv", tmp_path / "o.csv"
+        assert main(["bootstrap", str(a), str(b), str(out), "--seed", str(2**128)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --seed must be an integer in [0, 2**128), got {2**128}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    # sample s draws from the streams of seed + s, so the last sample's seed is out of range
+    def test_last_sample_seed_beyond_rule(self, tmp_path, capsys):
+        a, b = self._write_sources(tmp_path)
+        out = tmp_path / "o.csv"
+        last = 2**128 - 1
+        assert main(["bootstrap", str(a), str(b), str(out), "--seed", str(last)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: seed must be an integer in [0, 2**128), got {last + 1}\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("rows", ["rows", "no rows", "missing"])
@@ -715,7 +734,7 @@ class TestSynth:
     def test_negative_seed_rejected(self, tmp_path, capsys):
         post, labels = tmp_path / "p.csv", tmp_path / "l.csv"
         assert main(["synth", str(post), str(labels), "--seed", "-1"]) == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "error: seed must be an integer in [0, 2**128), got -1\n"
         assert list(tmp_path.iterdir()) == []
 
     # a finite scale whose posteriors are not, as scale**2 underflows to 0;

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from plmkit import (
     BinaryPrediction,
+    BlobSpec,
     CouplingConfig,
     InvalidDistributionError,
     LabeledBatch,
     PairwiseLikelihoodMatrix,
     Posterior,
     ShapeError,
+    perturb_manifold,
     validate_pairwise,
 )
 from plmkit.core import (
@@ -24,6 +26,7 @@ from plmkit.core import (
     strict_upper,
     triu_index,
 )
+from plmkit.ensemble import recombine_stack
 from oracles import pairwise_violations_ref, posterior_violations_ref
 
 
@@ -241,6 +244,35 @@ class TestCouplingConfig:
     def test_rho_bounds(self, rho):
         with pytest.raises(ValueError, match=rf"^rho must be in \(0, 0\.5\), got {rho!r}$"):
             CouplingConfig(rho=rho)
+
+
+SEEDED = {
+    "BlobSpec": lambda seed: BlobSpec(
+        c=2, dim=1, means=np.zeros((2, 1)), scale=1.0, n_per_class=1, seed=seed
+    ),
+    "perturb_manifold": lambda seed: perturb_manifold(Posterior([0.2, 0.8]), 1.0, seed),
+    "recombine_stack": lambda seed: recombine_stack(np.zeros((1, 2, 2, 2)), 3, [seed]),
+}
+
+
+class TestSeedRule:
+    """Every seeded stream takes core.require_seed's rule: an integer in [0, 2**128)."""
+
+    @pytest.mark.parametrize(
+        "seed", [-1, 1.5, None, 2**128, np.int64(-1)], ids=["-1", "1.5", "None", "2**128", "int64"]
+    )
+    @pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED)
+    def test_rejected(self, call, seed):
+        with pytest.raises(ValueError) as exc:
+            call(seed)
+        assert str(exc.value) == f"seed must be an integer in [0, 2**128), got {seed}"
+
+    @pytest.mark.parametrize(
+        "seed", [0, 2**128 - 1, np.uint64(2**64 - 1)], ids=["0", "2**128-1", "uint64"]
+    )
+    @pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED)
+    def test_accepted(self, call, seed):
+        call(seed)
 
 
 class TestLabeledBatch:

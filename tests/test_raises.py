@@ -19,6 +19,7 @@ from plmkit import (
     calibrate_threshold,
     confusion_matrix,
     distance_bc,
+    iia_restrict,
     pairwise_accuracy,
     perturb_manifold,
     reconstruct_from_column,
@@ -32,6 +33,7 @@ from plmkit.fileio import FormatError, read_posterior_stack
 # a nonzero diagonal entry and a broken complement
 INVALID = PairwiseLikelihoodMatrix([[0.0, 0.5, 0.5], [0.25, 0.0, 0.5], [0.5, 0.5, 0.1]])
 VALID = PairwiseLikelihoodMatrix([[0.0, 0.5], [0.5, 0.0]])
+P3 = Posterior([0.2, 0.3, 0.5])
 TWO = LabeledBatch(samples=(("a", 0), ("b", 1)), c=2)
 
 
@@ -100,7 +102,7 @@ RAISES = [
      ValueError, "means must be finite"),
     ("BlobSpec negative seed", lambda path: BlobSpec(c=2, dim=1, means=np.zeros((2, 1)), scale=1.0,
                                                      n_per_class=1, seed=-1),
-     ValueError, "seed must be >= 0, got -1"),
+     ValueError, "seed must be an integer in [0, 2**128), got -1"),
     # an enum field takes its member or that member's value, nothing else
     ("CouplingConfig method", lambda path: CouplingConfig(method="nope"),
      ValueError, "'nope' is not a valid Method"),
@@ -112,10 +114,34 @@ RAISES = [
     ("CorrectionPatch NaN index", lambda path: CorrectionPatch(
         pairs=((0, 1, 0.5), (np.nan, 2, 0.5))),
      ValueError, "class indices must be integers, got (nan,2)"),
+    # a class index names one of the c classes, never one counted from the end
+    ("iia_restrict negative class", lambda path: iia_restrict(P3, -1, 0),
+     ValueError, "class index -1 outside [0, 3)"),
+    ("iia_restrict class c", lambda path: iia_restrict(P3, 0, 3),
+     ValueError, "class index 3 outside [0, 3)"),
+    ("reconstruct negative column", lambda path: reconstruct_from_column(VALID, -1),
+     ValueError, "class index -1 outside [0, 2)"),
+    ("reconstruct column c", lambda path: reconstruct_from_column(VALID, 2),
+     ValueError, "class index 2 outside [0, 2)"),
+    ("perturb_manifold scale nan", lambda path: perturb_manifold(P3, np.nan, 0),
+     ValueError, "noise_scale must be finite and >= 0, got nan"),
+    ("perturb_manifold scale inf", lambda path: perturb_manifold(P3, np.inf, 0),
+     ValueError, "noise_scale must be finite and >= 0, got inf"),
+    ("perturb_manifold negative scale", lambda path: perturb_manifold(P3, -1.0, 0),
+     ValueError, "noise_scale must be finite and >= 0, got -1.0"),
     ("perturb_manifold zero entry", lambda path: perturb_manifold(Posterior([0.0, 1.0]), 0.1, 0),
      SingularityError, "posterior must be strictly positive"),
     ("recombine_stack one source", lambda path: recombine_stack(np.zeros((1, 1, 2, 2)), 3, [0]),
      ValueError, "need at least two source matrices"),
+    ("recombine_stack negative n", lambda path: recombine_stack(np.zeros((1, 2, 2, 2)), -1, [0]),
+     ValueError, "n must be >= 0, got -1"),
+    # one seed per sample: one seed for three samples would repeat its streams
+    ("recombine_stack one seed for three samples", lambda path: recombine_stack(
+        np.zeros((3, 2, 2, 2)), 2, [7]),
+     ValueError, "need one seed per sample, got 1 for 3"),
+    ("recombine_stack four seeds for three samples", lambda path: recombine_stack(
+        np.zeros((3, 2, 2, 2)), 2, [7, 8, 9, 10]),
+     ValueError, "need one seed per sample, got 4 for 3"),
     ("summarize no rows", lambda path: summarize_stack(np.zeros((1, 0, 2))),
      ValueError, "need at least one matrix"),
     ("accuracy empty", lambda path: accuracy([], LabeledBatch(samples=(), c=2)),

@@ -1,6 +1,6 @@
 """Command line interface: batch experiments over the CSV file formats.
 
-Exit codes: 0 success, 1 input/format error, 2 numerical failure.
+Exit codes: 0 success, 1 input/format error, 2 numerical failure or argparse usage error.
 ``restrict``, ``couple``, ``bootstrap`` and ``correct`` report a sample that
 fails and go on (``couple --strict`` exits 2 on one, ``correct`` when every
 sample fails).  All outputs are deterministic given flags and seeds.
@@ -22,6 +22,7 @@ from .core import (
     Method,
     PlmError,
     Stabilization,
+    require_int,
     require_seed,
 )
 from .coupling import couple_stack, theta_map_stack
@@ -49,13 +50,6 @@ from .fileio import (
 # compile) each module it imports
 
 _METHODS = sorted(m.value for m in Method)
-
-
-def _add_coupling_flags(sub):
-    sub.add_argument("--method", choices=_METHODS, default="wlw")
-    sub.add_argument("--stabilize", choices=sorted(s.value for s in Stabilization), default="none")
-    sub.add_argument("--tau", type=float, default=CouplingConfig.tau)
-    sub.add_argument("--rho", type=float, default=CouplingConfig.rho)
 
 
 def _write_kept(write, path, ids: list[str], errors, *arrays) -> list:
@@ -152,8 +146,7 @@ _ALL_FAILED = "every matrix failed to couple"
 def cmd_bootstrap(args) -> int:
     from .ensemble import recombine_stack, summarize_stack
 
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
+    require_int("--n", args.n, 1)
     require_seed("--seed", args.seed)
     if len(args.inputs) < 2:
         raise ValueError("need at least two source matrices")
@@ -271,7 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("couple", help="pairwise likelihood file -> posterior file")
     s.add_argument("input")
     s.add_argument("output")
-    _add_coupling_flags(s)
+    s.add_argument("--method", choices=_METHODS, default="wlw")
+    s.add_argument("--stabilize", choices=sorted(m.value for m in Stabilization), default="none")
+    s.add_argument("--tau", type=float, default=CouplingConfig.tau)
+    s.add_argument("--rho", type=float, default=CouplingConfig.rho)
     s.add_argument("--strict", action="store_true", help="exit 2 if any sample fails")
     s.set_defaults(func=cmd_couple)
 

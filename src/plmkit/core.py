@@ -124,11 +124,19 @@ def require_band(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in (0, 0.5), got {value}")
 
 
+def require_int(name: str, value, low: int, high: int | None = None) -> int:
+    """An ``int`` or ``numpy.integer`` in [low, high), or >= low if high is None, as an int."""
+    whole = isinstance(value, (int, np.integer))
+    if whole and low <= int(value) < (np.inf if high is None else high):
+        return int(value)
+    top = high if high is None or high < 1 << 64 else f"2**{high.bit_length() - 1}"
+    span = f">= {low}" if high is None else f"in [{low}, {top})"
+    raise ValueError(f"{name} must be an integer {span}, got {value}")
+
+
 def require_seed(name: str, seed) -> int:
     """The seed as an int: an integer in [0, 2**128), numpy's ``SeedSequence()`` entropy size."""
-    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 1 << 128):
-        raise ValueError(f"{name} must be an integer in [0, 2**128), got {seed}")
-    return int(seed)
+    return require_int(name, seed, 0, 1 << 128)
 
 
 class Method(enum.Enum):
@@ -170,7 +178,7 @@ class LabeledBatch:
         object.__setattr__(self, "samples", tuple(self.samples))
         ids = [sid for sid, _ in self.samples]
         labels = np.array([label for _, label in self.samples])
-        require(unique_ids(ids), class_range(ids, labels, self.c))
+        require(unique_ids(ids), class_range(ids, labels, require_int("c", self.c, 1)))
 
     def labels_by_id(self) -> dict:
         return dict(self.samples)
@@ -188,7 +196,7 @@ class BinaryPrediction:
     prob_a: float
 
     def __post_init__(self):
-        if self.class_a == self.class_b:
+        if require_int("class_a", self.class_a, 0) == require_int("class_b", self.class_b, 0):
             raise ValueError("class_a and class_b must differ")
         if not (0.0 <= self.prob_a <= 1.0):
             raise ValueError(f"prob_a must lie in [0, 1], got {self.prob_a}")
@@ -244,9 +252,10 @@ def unique_ids(ids: list):
 
 
 def class_range(ids: list, classes: np.ndarray, c: int, name: str = "label"):
-    """Every row's class, its ``name``, lies in [0, c)."""
-    why = "{} {} for sample {!r} outside [0, {})".format
-    return (classes < 0) | (classes >= c), lambda k: why(name, classes[k], ids[k], c)
+    """Every row's class, its ``name``, is a whole number in [0, c), so not NaN or +-inf."""
+    bad = (np.floor(classes) != classes) | (classes < 0) | (classes >= c)
+    why = "{} {} for sample {!r} is not an integer in [0, {})".format
+    return bad, lambda k: why(name, classes[k], ids[k], c)
 
 
 def pair_checks(i: np.ndarray, j: np.ndarray, q: np.ndarray, name: str, sample=None, ids=None):

@@ -38,6 +38,7 @@ from .core import (
     off_diagonal,
     pairwise_violations,
     require_band,
+    require_int,
     strict_upper,
     triu_index,
     validate_pairwise,
@@ -69,11 +70,9 @@ def _restrict(probs: np.ndarray, rows, cols, errors: dict | None = None) -> np.n
 def iia_restrict(p: Posterior, i: int, j: int) -> BinaryPrediction:
     """Restrict a posterior to the pair (i, j), preserving their likelihood ratio;
     ``prob_a`` is entry (i, j) of :func:`theta_map`, bit for bit."""
+    i, j = require_int("i", i, 0, p.c), require_int("j", j, 0, p.c)
     if i == j:
         raise ValueError("pair indices must differ")
-    for k in (i, j):
-        if not 0 <= k < p.c:
-            raise ValueError(f"class index {k} outside [0, {p.c})")
     r = _restrict(p.probs[None], [min(i, j)], [max(i, j)])[0, 0]
     return BinaryPrediction(class_a=i, class_b=j, prob_a=r if i < j else 1.0 - r)
 
@@ -99,8 +98,7 @@ def reconstruct_from_column(matrix: PairwiseLikelihoodMatrix, j: int) -> Posteri
     columns disagree (which is what the manifold-distance scores measure).
     """
     m, c = matrix.entries, matrix.c
-    if not 0 <= j < c:
-        raise ValueError(f"class index {j} outside [0, {c})")
+    j = require_int("j", j, 0, c)
     violations = validate_pairwise(matrix)
     if violations:
         raise InvalidDistributionError("; ".join(violations))

@@ -17,6 +17,7 @@ from .core import (
     Posterior,
     SingularityError,
     from_upper,
+    require_int,
     require_seed,
     triu_index,
 )
@@ -35,10 +36,8 @@ class BlobSpec:
     seed: int
 
     def __post_init__(self):
-        if self.c < 2:
-            raise ValueError(f"c must be >= 2, got {self.c}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        require_int("c", self.c, 2)
+        require_int("dim", self.dim, 1)
         means = np.array(self.means, dtype=float)
         means.setflags(write=False)
         object.__setattr__(self, "means", means)
@@ -48,8 +47,7 @@ class BlobSpec:
             raise ValueError("means must be finite")
         if not 0.0 < self.scale < np.inf:
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
-        if self.n_per_class < 1:
-            raise ValueError("n_per_class must be >= 1")
+        require_int("n_per_class", self.n_per_class, 1)
         require_seed("seed", self.seed)
 
 

@@ -162,8 +162,7 @@ def recombine_stack(sources: np.ndarray, n: int, seeds) -> np.ndarray:
     seeds = [core.require_seed("seed", seed) for seed in seeds]
     if sources.shape[1] < 2:
         raise ValueError("need at least two source matrices")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    core.require_int("n", n, 0)
     if len(seeds) != len(sources):
         raise ValueError(f"need one seed per sample, got {len(seeds)} for {len(sources)}")
     c = sources.shape[-1]

@@ -18,8 +18,7 @@ def _labels_of(predictions: list, labels: LabeledBatch, cover: bool) -> list[int
     labelled, and with ``cover`` every labelled sample is predicted."""
     truth = labels.labels_by_id()
     ids = [sid for sid, _ in predictions]
-    if len(set(ids)) < len(ids):
-        raise ValueError("prediction sample_ids are not unique")
+    core.require(core.unique_ids(ids))
     if not truth.keys() >= set(ids) or (cover and len(ids) != len(truth)):
         raise ValueError("prediction sample_ids do not match label sample_ids")
     return [truth[sid] for sid in ids]

@@ -499,7 +499,7 @@ class TestBootstrap:
         a, b = self._write_sources(tmp_path)
         out = tmp_path / "o.csv"
         assert main(["bootstrap", str(a), str(b), str(out), "--n", n]) == 1
-        assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
+        assert capsys.readouterr().err == f"error: --n must be an integer >= 1, got {n}\n"
         assert not out.exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
@@ -653,7 +653,7 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "rows, message",
         [
-            ("a,2\n# x\nb,5\nc,0\n", "4: label 5 for sample 'b' outside [0, 3)"),
+            ("a,2\n# x\nb,5\nc,0\n", "4: label 5 for sample 'b' is not an integer in [0, 3)"),
             ("a,2\nb,2\n\na,0\nc,0\n", "5: duplicate sample_id 'a'"),
         ],
     )
@@ -703,11 +703,11 @@ class TestSynth:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--c", "1"], "c must be >= 2, got 1"),
-            (["--c", "0"], "c must be >= 2, got 0"),
-            (["--c", "-2", "--dim", "3"], "c must be >= 2, got -2"),
-            (["--dim", "0"], "dim must be >= 1, got 0"),
-            (["--c", "4", "--dim", "-1"], "dim must be >= 1, got -1"),
+            (["--c", "1"], "c must be an integer >= 2, got 1"),
+            (["--c", "0"], "c must be an integer >= 2, got 0"),
+            (["--c", "-2", "--dim", "3"], "c must be an integer >= 2, got -2"),
+            (["--dim", "0"], "dim must be an integer >= 1, got 0"),
+            (["--c", "4", "--dim", "-1"], "dim must be an integer >= 1, got -1"),
         ],
     )
     def test_bad_shape_rejected(self, tmp_path, capsys, flags, message):

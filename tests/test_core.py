@@ -12,7 +12,11 @@ from plmkit import (
     PairwiseLikelihoodMatrix,
     Posterior,
     ShapeError,
+    generate_blobs,
+    iia_restrict,
     perturb_manifold,
+    reconstruct_from_column,
+    theta_map,
     validate_pairwise,
 )
 from plmkit.core import (
@@ -23,6 +27,7 @@ from plmkit.core import (
     off_diagonal,
     pairwise_violations,
     posterior_violations,
+    require_int,
     strict_upper,
     triu_index,
 )
@@ -273,6 +278,58 @@ class TestSeedRule:
     @pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED)
     def test_accepted(self, call, seed):
         call(seed)
+
+
+P3 = Posterior([0.2, 0.3, 0.5])
+
+# each call site of core.require_int, called with a given integer type
+COUNTED = {
+    "BlobSpec": lambda k: generate_blobs(
+        BlobSpec(c=k(2), dim=k(1), means=np.zeros((2, 1)), scale=1.0, n_per_class=k(3), seed=0)
+    ),
+    "recombine_stack n": lambda k: recombine_stack(
+        np.stack([theta_map(P3).entries, np.full((3, 3), 0.5) - np.eye(3) / 2])[None], k(4), [0]
+    ),
+    "iia_restrict classes": lambda k: iia_restrict(P3, k(2), k(0)),
+    "reconstruct_from_column j": lambda k: reconstruct_from_column(theta_map(P3), k(1)).probs,
+    "LabeledBatch c": lambda k: LabeledBatch(samples=(("a", 0),), c=k(1)),
+    "BinaryPrediction classes": lambda k: BinaryPrediction(k(0), k(2), 0.25),
+}
+
+
+class TestIntRule:
+    """Counts, class indices and seeds take core.require_int's rule: an int or
+    numpy.integer in [low, high), returned as an int."""
+
+    @pytest.mark.parametrize(
+        "value, low, high",
+        [(0, 0, None), (np.int64(2), 2, 3), (np.uint64(2**64 - 1), 0, 1 << 128)],
+        ids=["0", "int64", "uint64"],
+    )
+    def test_accepted(self, value, low, high):
+        out = require_int("x", value, low, high)
+        assert type(out) is int and out == value
+
+    @pytest.mark.parametrize(
+        "value, low, high, span",
+        [
+            (1.0, 0, None, ">= 0"),
+            (np.int64(-1), 0, None, ">= 0"),
+            (None, 0, 5, "in [0, 5)"),
+            (5, 0, 5, "in [0, 5)"),
+            (0, 0, 0, "in [0, 0)"),  # an empty range admits nothing
+            (2**64, 0, 1 << 64, "in [0, 2**64)"),
+            (2**64 - 1, 0, (1 << 64) - 1, "in [0, 18446744073709551615)"),
+        ],
+    )
+    def test_rejected(self, value, low, high, span):
+        with pytest.raises(ValueError) as exc:
+            require_int("x", value, low, high)
+        assert str(exc.value) == f"x must be an integer {span}, got {value}"
+
+    @pytest.mark.parametrize("call", COUNTED.values(), ids=COUNTED)
+    def test_numpy_integer_accepted(self, call):
+        np.testing.assert_equal(call(np.int64), call(int))
 
 
 class TestLabeledBatch:

@@ -335,11 +335,11 @@ MALFORMED = [
     ("labels duplicate sample_id", read_labels, PRE + LAB + "a,0\nb,1\n\na,1\n",
      "{path}:7: duplicate sample_id 'a'"),
     ("labels negative", read_labels, PRE + LAB + "a,0\nb,-1\n",
-     "{path}:5: label -1 for sample 'b' outside [0, 1)"),
+     "{path}:5: label -1 for sample 'b' is not an integer in [0, 1)"),
     ("labels out of range", functools.partial(read_labels, c=3), PRE + LAB + "a,0\nb,5\n",
-     "{path}:5: label 5 for sample 'b' outside [0, 3)"),
+     "{path}:5: label 5 for sample 'b' is not an integer in [0, 3)"),
     ("labels out of range before a repeat", functools.partial(read_labels, c=2),
-     PRE + LAB + "a,0\n# x\nb,2\na,1\n", "{path}:6: label 2 for sample 'b' outside [0, 2)"),
+     PRE + LAB + "a,0\n# x\nb,2\na,1\n", "{path}:6: label 2 for sample 'b' is not an integer in [0, 2)"),
     ("patch wrong header", read_patch, PRE + "i,j,prob\n", "{path}:3: expected header i,j,prob_i"),
     ("patch short row", read_patch, PRE + PATCH + "0,1,0.5\n\n0,2\n",
      "{path}:6: expected 3 fields, got 2"),

@@ -16,6 +16,7 @@ from plmkit import (
     ShapeError,
     SingularityError,
     accuracy,
+    bootstrap_recombine,
     calibrate_threshold,
     confusion_matrix,
     distance_bc,
@@ -87,10 +88,17 @@ RAISES = [
      ValueError, "means must have shape (2,2), got (3, 2)"),
     ("BlobSpec one class", lambda path: BlobSpec(c=1, dim=1, means=np.zeros((1, 1)), scale=1.0,
                                                  n_per_class=1, seed=0),
-     ValueError, "c must be >= 2, got 1"),
+     ValueError, "c must be an integer >= 2, got 1"),
     ("BlobSpec no dimension", lambda path: BlobSpec(c=2, dim=0, means=np.zeros((2, 0)), scale=1.0,
                                                     n_per_class=1, seed=0),
-     ValueError, "dim must be >= 1, got 0"),
+     ValueError, "dim must be an integer >= 1, got 0"),
+    # a count is a whole number: 1.5 and 2.0 are refused before numpy sees them
+    ("BlobSpec fractional n_per_class", lambda path: BlobSpec(
+        c=2, dim=1, means=np.zeros((2, 1)), scale=1.0, n_per_class=1.5, seed=0),
+     ValueError, "n_per_class must be an integer >= 1, got 1.5"),
+    ("BlobSpec float c", lambda path: BlobSpec(c=2.0, dim=1, means=np.zeros((2, 1)), scale=1.0,
+                                               n_per_class=1, seed=0),
+     ValueError, "c must be an integer >= 2, got 2.0"),
     ("BlobSpec scale nan", lambda path: BlobSpec(c=2, dim=1, means=np.zeros((2, 1)), scale=np.nan,
                                                  n_per_class=1, seed=0),
      ValueError, "scale must be finite and positive, got nan"),
@@ -116,13 +124,19 @@ RAISES = [
      ValueError, "class indices must be integers, got (nan,2)"),
     # a class index names one of the c classes, never one counted from the end
     ("iia_restrict negative class", lambda path: iia_restrict(P3, -1, 0),
-     ValueError, "class index -1 outside [0, 3)"),
+     ValueError, "i must be an integer in [0, 3), got -1"),
     ("iia_restrict class c", lambda path: iia_restrict(P3, 0, 3),
-     ValueError, "class index 3 outside [0, 3)"),
+     ValueError, "j must be an integer in [0, 3), got 3"),
+    ("iia_restrict fractional class", lambda path: iia_restrict(P3, 0.5, 1),
+     ValueError, "i must be an integer in [0, 3), got 0.5"),
+    ("iia_restrict float class", lambda path: iia_restrict(P3, 1.0, 2),
+     ValueError, "i must be an integer in [0, 3), got 1.0"),
+    ("reconstruct float column", lambda path: reconstruct_from_column(VALID, 1.0),
+     ValueError, "j must be an integer in [0, 2), got 1.0"),
     ("reconstruct negative column", lambda path: reconstruct_from_column(VALID, -1),
-     ValueError, "class index -1 outside [0, 2)"),
+     ValueError, "j must be an integer in [0, 2), got -1"),
     ("reconstruct column c", lambda path: reconstruct_from_column(VALID, 2),
-     ValueError, "class index 2 outside [0, 2)"),
+     ValueError, "j must be an integer in [0, 2), got 2"),
     ("perturb_manifold scale nan", lambda path: perturb_manifold(P3, np.nan, 0),
      ValueError, "noise_scale must be finite and >= 0, got nan"),
     ("perturb_manifold scale inf", lambda path: perturb_manifold(P3, np.inf, 0),
@@ -134,7 +148,11 @@ RAISES = [
     ("recombine_stack one source", lambda path: recombine_stack(np.zeros((1, 1, 2, 2)), 3, [0]),
      ValueError, "need at least two source matrices"),
     ("recombine_stack negative n", lambda path: recombine_stack(np.zeros((1, 2, 2, 2)), -1, [0]),
-     ValueError, "n must be >= 0, got -1"),
+     ValueError, "n must be an integer >= 0, got -1"),
+    ("recombine_stack float n", lambda path: recombine_stack(np.zeros((1, 2, 2, 2)), 2.0, [0]),
+     ValueError, "n must be an integer >= 0, got 2.0"),
+    ("bootstrap_recombine float n", lambda path: bootstrap_recombine([VALID, VALID], 2.0, 1),
+     ValueError, "n must be an integer >= 0, got 2.0"),
     # one seed per sample: one seed for three samples would repeat its streams
     ("recombine_stack one seed for three samples", lambda path: recombine_stack(
         np.zeros((3, 2, 2, 2)), 2, [7]),
@@ -144,6 +162,21 @@ RAISES = [
      ValueError, "need one seed per sample, got 4 for 3"),
     ("summarize no rows", lambda path: summarize_stack(np.zeros((1, 0, 2))),
      ValueError, "need at least one matrix"),
+    # a label names a class, so it is a whole number: accuracy would count 1.5 as a miss
+    ("LabeledBatch fractional label", lambda path: LabeledBatch(
+        samples=(("a", 0), ("b", 1.5)), c=2),
+     ValueError, "label 1.5 for sample 'b' is not an integer in [0, 2)"),
+    ("LabeledBatch NaN label", lambda path: LabeledBatch(samples=(("a", 0), ("b", np.nan)), c=2),
+     ValueError, "label nan for sample 'b' is not an integer in [0, 2)"),
+    ("LabeledBatch infinite label", lambda path: LabeledBatch(
+        samples=(("a", -np.inf), ("b", 0)), c=2),
+     ValueError, "label -inf for sample 'a' is not an integer in [0, 2)"),
+    ("LabeledBatch fractional c", lambda path: LabeledBatch(samples=(("a", 0),), c=1.5),
+     ValueError, "c must be an integer >= 1, got 1.5"),
+    ("BinaryPrediction fractional class", lambda path: BinaryPrediction(0.5, 1, 0.3),
+     ValueError, "class_a must be an integer >= 0, got 0.5"),
+    ("BinaryPrediction negative class", lambda path: BinaryPrediction(0, -1, 0.3),
+     ValueError, "class_b must be an integer >= 0, got -1"),
     ("accuracy empty", lambda path: accuracy([], LabeledBatch(samples=(), c=2)),
      ValueError, "empty prediction list"),
     ("pairwise_accuracy empty", lambda path: pairwise_accuracy([], LabeledBatch(samples=(), c=2)),
@@ -154,22 +187,25 @@ RAISES = [
     # checked before counting: -1 would count as class c-1, and c would index past the end
     ("confusion_matrix negative prediction", lambda path: confusion_matrix(
         [("a", 0), ("b", -1)], LabeledBatch(samples=(("a", 0), ("b", 1)), c=2)),
-     ValueError, "prediction -1 for sample 'b' outside [0, 2)"),
+     ValueError, "prediction -1 for sample 'b' is not an integer in [0, 2)"),
     ("confusion_matrix prediction >= c", lambda path: confusion_matrix(
         [("a", 2), ("b", 5)], LabeledBatch(samples=(("a", 0), ("b", 1)), c=2)),
-     ValueError, "prediction 2 for sample 'a' outside [0, 2)"),
+     ValueError, "prediction 2 for sample 'a' is not an integer in [0, 2)"),
+    ("confusion_matrix fractional prediction", lambda path: confusion_matrix(
+        [("a", 0), ("b", 1.5)], TWO),
+     ValueError, "prediction 1.5 for sample 'b' is not an integer in [0, 2)"),
     # each prediction's sample_id is labelled and predicted once
     ("accuracy repeated id", lambda path: accuracy([("a", 0), ("a", 0), ("b", 1)], TWO),
-     ValueError, "prediction sample_ids are not unique"),
+     ValueError, "duplicate sample_id 'a'"),
     ("confusion_matrix repeated id", lambda path: confusion_matrix(
         [("a", 0), ("b", 1), ("a", 0)], TWO),
-     ValueError, "prediction sample_ids are not unique"),
+     ValueError, "duplicate sample_id 'a'"),
     ("pairwise_accuracy unlabelled id", lambda path: pairwise_accuracy(
         [("a", BinaryPrediction(0, 1, 0.7)), ("zz", BinaryPrediction(0, 1, 0.7))], TWO),
      ValueError, "prediction sample_ids do not match label sample_ids"),
     ("pairwise_accuracy repeated id", lambda path: pairwise_accuracy(
         [("b", BinaryPrediction(0, 1, 0.7)), ("b", BinaryPrediction(0, 1, 0.7))], TWO),
-     ValueError, "prediction sample_ids are not unique"),
+     ValueError, "duplicate sample_id 'b'"),
     ("posterior file one column", _one_probability_column,
      FormatError, "{path}:2: need at least two probability columns"),
     # a posterior file, like a feature file, names at least one vector column

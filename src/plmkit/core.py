@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,8 +177,7 @@ class LabeledBatch:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
-        ids = [sid for sid, _ in self.samples]
-        labels = np.array([label for _, label in self.samples])
+        ids, labels = [sid for sid, _ in self.samples], [label for _, label in self.samples]
         require(unique_ids(ids), class_range(ids, labels, require_int("c", self.c, 1)))
 
     def labels_by_id(self) -> dict:
@@ -251,11 +251,15 @@ def unique_ids(ids: list):
     return repeated, lambda k: f"duplicate sample_id {ids[k]!r}"
 
 
-def class_range(ids: list, classes: np.ndarray, c: int, name: str = "label"):
-    """Every row's class, its ``name``, is a whole number in [0, c), so not NaN or +-inf."""
-    bad = (np.floor(classes) != classes) | (classes < 0) | (classes >= c)
-    why = "{} {} for sample {!r} is not an integer in [0, {})".format
-    return bad, lambda k: why(name, classes[k], ids[k], c)
+def class_range(ids: list, classes, c: int, name: str = "label"):
+    """Every row's class, its ``name``, is a whole number in [0, c), so not NaN, +-inf,
+    None or a string; a sequence that numpy holds as numbers is checked without a loop."""
+    values = np.asarray(classes)
+    if values.dtype.kind not in "biuf" or values.ndim != 1:  # [0, "1"] would read as ["0", "1"]
+        values = np.array([v if isinstance(v, numbers.Real) else np.nan for v in classes], float)
+    bad = (np.floor(values) != values) | (values < 0) | (values >= c)
+    why = "{} {} for sample {!r} is not an integer in [0, {})".format  # names a string quoted
+    return bad, lambda k: why(name, repr(v) if isinstance(v := classes[k], str) else v, ids[k], c)
 
 
 def pair_checks(i: np.ndarray, j: np.ndarray, q: np.ndarray, name: str, sample=None, ids=None):

@@ -9,6 +9,7 @@ handful of trained ones (randomness estimation).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,9 @@ class CorrectionPatch:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
+        for pair in self.pairs:
+            if not (np.shape(pair) == (3,) and all(isinstance(x, numbers.Real) for x in pair)):
+                raise ValueError(f"patch pair {pair} is not an (i, j, prob_i) triple of numbers")
         core.require(*core.pair_checks(*_columns(self), "prob_i"))
 
 

@@ -13,24 +13,30 @@ def argmax_predict(p: Posterior) -> int:
     return int(np.argmax(p.probs))
 
 
-def _labels_of(predictions: list, labels: LabeledBatch, cover: bool) -> list[int]:
-    """The label of each prediction's sample: sample_ids are unique and
-    labelled, and with ``cover`` every labelled sample is predicted."""
+def _counts(predictions: list, labels: LabeledBatch, cover: bool) -> np.ndarray:
+    """Counts, entry (true, predicted), of predictions with unique, labelled sample_ids
+    (every labelled one with ``cover``) and classes that are integers in [0, c)."""
     truth = labels.labels_by_id()
-    ids = [sid for sid, _ in predictions]
+    ids, preds = [sid for sid, _ in predictions], [pred for _, pred in predictions]
     core.require(core.unique_ids(ids))
     if not truth.keys() >= set(ids) or (cover and len(ids) != len(truth)):
         raise ValueError("prediction sample_ids do not match label sample_ids")
-    return [truth[sid] for sid in ids]
+    core.require(core.class_range(ids, preds, labels.c, "prediction"))
+    counts = np.zeros((labels.c, labels.c), dtype=np.int64)
+    np.add.at(counts, (np.array([truth[s] for s in ids], np.intp), np.array(preds, np.intp)), 1)
+    return counts
+
+
+def _share(counts: np.ndarray, predictions: list) -> float:
+    """The trace of ``counts`` over the number of predictions."""
+    if not predictions:
+        raise ValueError("empty prediction list")
+    return int(np.trace(counts)) / len(predictions)
 
 
 def accuracy(predictions: list[tuple[str, int]], labels: LabeledBatch) -> float:
     """Fraction of correct predictions, matched to labels by sample_id."""
-    truth = _labels_of(predictions, labels, cover=True)
-    if not predictions:
-        raise ValueError("empty prediction list")
-    correct = sum(1 for (_, pred), label in zip(predictions, truth) if pred == label)
-    return correct / len(predictions)
+    return _share(_counts(predictions, labels, cover=True), predictions)
 
 
 def pairwise_accuracy(
@@ -41,28 +47,18 @@ def pairwise_accuracy(
     Every label must be one of the prediction's two classes; a tie at 0.5
     counts as predicting class_a.
     """
-    truth = _labels_of(binary_preds, labels, cover=False)
-    if not binary_preds:
-        raise ValueError("empty prediction list")
-    correct = 0
-    for (sid, bp), label in zip(binary_preds, truth):
-        if label not in (bp.class_a, bp.class_b):
-            raise ValueError(
-                f"sample {sid!r} has label {label}, not in pair ({bp.class_a},{bp.class_b})"
-            )
-        correct += (bp.class_a if bp.prob_a >= 0.5 else bp.class_b) == label
-    return correct / len(binary_preds)
+    winners = [(sid, bp.class_a if bp.prob_a >= 0.5 else bp.class_b) for sid, bp in binary_preds]
+    share, truth = _share(_counts(winners, labels, cover=False), winners), labels.labels_by_id()
+    for sid, bp in binary_preds:
+        if truth[sid] not in (bp.class_a, bp.class_b):
+            why = f"has label {truth[sid]}, not in pair ({bp.class_a},{bp.class_b})"
+            raise ValueError(f"sample {sid!r} {why}")
+    return share
 
 
 def confusion_matrix(predictions: list[tuple[str, int]], labels: LabeledBatch) -> np.ndarray:
     """Count matrix with entry (true, predicted); rows sum to per-class support."""
-    truth = _labels_of(predictions, labels, cover=True)
-    ids, preds = [sid for sid, _ in predictions], np.array([pred for _, pred in predictions])
-    core.require(core.class_range(ids, preds, labels.c, "prediction"))
-    counts = np.zeros((labels.c, labels.c), dtype=np.int64)
-    for (_, pred), label in zip(predictions, truth):
-        counts[label, pred] += 1
-    return counts
+    return _counts(predictions, labels, cover=True)
 
 
 def worst_confused_pair(confusion: np.ndarray) -> tuple[int, int] | None:

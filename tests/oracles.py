@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 
+from plmkit import core
 from plmkit.core import SUM_TOL, SYM_TOL
 
 
@@ -257,6 +258,57 @@ def worst_confused_pair_ref(confusion: np.ndarray):
             if errors > best_errors:
                 best, best_errors = (i, j), errors
     return best
+
+
+# the three per-sample counting loops the metrics had before they shared one
+# np.add.at pass, kept as written; confusion_matrix_ref indexes with each
+# prediction, so it takes int predictions only
+
+
+def _labels_of(predictions: list, labels, cover: bool) -> list[int]:
+    """The label of each prediction's sample: sample_ids are unique and
+    labelled, and with ``cover`` every labelled sample is predicted."""
+    truth = labels.labels_by_id()
+    ids = [sid for sid, _ in predictions]
+    core.require(core.unique_ids(ids))
+    if not truth.keys() >= set(ids) or (cover and len(ids) != len(truth)):
+        raise ValueError("prediction sample_ids do not match label sample_ids")
+    return [truth[sid] for sid in ids]
+
+
+def accuracy_ref(predictions: list, labels) -> float:
+    """Fraction of correct predictions, matched to labels by sample_id."""
+    truth = _labels_of(predictions, labels, cover=True)
+    if not predictions:
+        raise ValueError("empty prediction list")
+    correct = sum(1 for (_, pred), label in zip(predictions, truth) if pred == label)
+    return correct / len(predictions)
+
+
+def pairwise_accuracy_ref(binary_preds: list, labels) -> float:
+    """Fraction of samples where the higher-probability class matches the label."""
+    truth = _labels_of(binary_preds, labels, cover=False)
+    if not binary_preds:
+        raise ValueError("empty prediction list")
+    correct = 0
+    for (sid, bp), label in zip(binary_preds, truth):
+        if label not in (bp.class_a, bp.class_b):
+            raise ValueError(
+                f"sample {sid!r} has label {label}, not in pair ({bp.class_a},{bp.class_b})"
+            )
+        correct += (bp.class_a if bp.prob_a >= 0.5 else bp.class_b) == label
+    return correct / len(binary_preds)
+
+
+def confusion_matrix_ref(predictions: list, labels) -> np.ndarray:
+    """Count matrix with entry (true, predicted)."""
+    truth = _labels_of(predictions, labels, cover=True)
+    ids, preds = [sid for sid, _ in predictions], np.array([pred for _, pred in predictions])
+    core.require(core.class_range(ids, preds, labels.c, "prediction"))
+    counts = np.zeros((labels.c, labels.c), dtype=np.int64)
+    for (_, pred), label in zip(predictions, truth):
+        counts[label, pred] += 1
+    return counts
 
 
 def summary_ref(probs: np.ndarray, ok: np.ndarray) -> np.ndarray:

@@ -14,7 +14,12 @@ from plmkit import (
     pairwise_accuracy,
     worst_confused_pair,
 )
-from oracles import worst_confused_pair_ref
+from oracles import (
+    accuracy_ref,
+    confusion_matrix_ref,
+    pairwise_accuracy_ref,
+    worst_confused_pair_ref,
+)
 
 # confusion counts of a 10-class baseline classifier used as a fixed fixture
 BASELINE_CONFUSION = np.array(
@@ -138,7 +143,14 @@ class TestConfusionMatrix:
         batch = LabeledBatch(samples=samples, c=3)
         preds = [(sid, int(rng.integers(0, 3))) for sid, _ in samples]
         counts = confusion_matrix(preds, batch)
-        assert accuracy(preds, batch) == pytest.approx(np.trace(counts) / counts.sum())
+        assert accuracy(preds, batch) == np.trace(counts) / counts.sum()
+
+    def test_whole_float_and_bool_predictions_count_once(self):
+        # 1.0 names class 1, as it does in a label; True counts as 1, not as a row mask
+        batch = LabeledBatch(samples=(("a", 0), ("b", 1)), c=2)
+        for one in (1.0, np.float64(1.0), True):
+            counts = confusion_matrix([("a", 0), ("b", one)], batch)
+            np.testing.assert_array_equal(counts, [[1, 0], [0, 1]])
 
 
 class TestWorstConfusedPair:
@@ -173,3 +185,46 @@ class TestWorstConfusedPair:
                 i, j = rows[k], cols[k]
                 counts[i, j], counts[j, i] = (top, 0) if n else (top - 1, 1)
         assert worst_confused_pair(counts) == worst_confused_pair_ref(counts)
+
+
+@st.composite
+def _metric_inputs(draw):
+    """A labelled batch, its class predictions (ints, np.int64s and whole floats) and
+    binary predictions for a subset of its samples, with ties at prob_a = 0.5."""
+    c = draw(st.integers(min_value=2, max_value=12))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=c - 1), min_size=1, max_size=30))
+    ids = [f"s{k}" for k in range(len(labels))]
+    batch = LabeledBatch(samples=tuple(zip(ids, labels)), c=c)
+    kinds, ints = st.sampled_from([int, np.int64, float]), st.sampled_from([int, np.int64])
+    size = len(ids)
+    classes = draw(st.lists(st.tuples(kinds, st.integers(min_value=0, max_value=c - 1)),
+                            min_size=size, max_size=size))
+    order = draw(st.permutations(range(size)))
+    preds = [(ids[k], kind(cls)) for k, (kind, cls) in zip(order, classes)]
+    binary = []
+    for k in order[: draw(st.integers(min_value=1, max_value=size))]:
+        other = draw(st.integers(min_value=0, max_value=c - 2))
+        pair = (labels[k], other + (other >= labels[k]))
+        if draw(st.booleans()):
+            pair = pair[::-1]
+        a, b = (draw(ints)(cls) for cls in pair)
+        prob = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0))
+        binary.append((ids[k], BinaryPrediction(a, b, prob)))
+    return batch, preds, binary
+
+
+@settings(max_examples=300, deadline=None)
+@given(_metric_inputs())
+def test_metrics_equal_counting_loops(inputs):
+    batch, preds, binary = inputs
+    for metric, ref, given_preds in [
+        (accuracy, accuracy_ref, preds),
+        (pairwise_accuracy, pairwise_accuracy_ref, binary),
+    ]:
+        share, expected = metric(given_preds, batch), ref(given_preds, batch)
+        assert (type(share), share.hex()) == (float, expected.hex())
+    counts = confusion_matrix(preds, batch)
+    # the loop indexes with each prediction, so it is given them as ints
+    expected = confusion_matrix_ref([(sid, int(pred)) for sid, pred in preds], batch)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, expected)

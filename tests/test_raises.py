@@ -194,12 +194,54 @@ RAISES = [
     ("confusion_matrix fractional prediction", lambda path: confusion_matrix(
         [("a", 0), ("b", 1.5)], TWO),
      ValueError, "prediction 1.5 for sample 'b' is not an integer in [0, 2)"),
+    # accuracy counts through confusion_matrix, so it refuses the predictions that
+    # confusion_matrix refuses instead of counting each as a miss
+    ("accuracy prediction >= c", lambda path: accuracy([("a", 0), ("b", 5)], TWO),
+     ValueError, "prediction 5 for sample 'b' is not an integer in [0, 2)"),
+    ("accuracy negative prediction", lambda path: accuracy([("a", 0), ("b", -1)], TWO),
+     ValueError, "prediction -1 for sample 'b' is not an integer in [0, 2)"),
+    ("accuracy fractional prediction", lambda path: accuracy([("a", 0), ("b", 1.5)], TWO),
+     ValueError, "prediction 1.5 for sample 'b' is not an integer in [0, 2)"),
+    ("accuracy NaN prediction", lambda path: accuracy([("a", 0), ("b", np.nan)], TWO),
+     ValueError, "prediction nan for sample 'b' is not an integer in [0, 2)"),
+    ("accuracy None prediction", lambda path: accuracy([("a", 0), ("b", None)], TWO),
+     ValueError, "prediction None for sample 'b' is not an integer in [0, 2)"),
+    ("accuracy string prediction", lambda path: accuracy([("a", 0), ("b", "1")], TWO),
+     ValueError, "prediction '1' for sample 'b' is not an integer in [0, 2)"),
+    # the winning class of a pair is a prediction like any other
+    ("pairwise_accuracy winner >= c", lambda path: pairwise_accuracy(
+        [("a", BinaryPrediction(0, 5, 0.3))], TWO),
+     ValueError, "prediction 5 for sample 'a' is not an integer in [0, 2)"),
+    # a class that holds no number is named as it was given, a string in quotes;
+    # "1" beside 0 must not turn the 0 into "0" and blame row a
+    ("LabeledBatch None label", lambda path: LabeledBatch(samples=(("a", 0), ("b", None)), c=2),
+     ValueError, "label None for sample 'b' is not an integer in [0, 2)"),
+    ("LabeledBatch string label", lambda path: LabeledBatch(samples=(("a", 0), ("b", "1")), c=2),
+     ValueError, "label '1' for sample 'b' is not an integer in [0, 2)"),
+    ("confusion_matrix None prediction", lambda path: confusion_matrix(
+        [("a", 0), ("b", None)], TWO),
+     ValueError, "prediction None for sample 'b' is not an integer in [0, 2)"),
+    ("confusion_matrix string prediction", lambda path: confusion_matrix(
+        [("a", 0), ("b", "1")], TWO),
+     ValueError, "prediction '1' for sample 'b' is not an integer in [0, 2)"),
+    # a patch pair is an (i, j, prob_i) triple of numbers: nothing is dropped or guessed
+    ("CorrectionPatch pair of two", lambda path: CorrectionPatch(pairs=((0, 1),)),
+     ValueError, "patch pair (0, 1) is not an (i, j, prob_i) triple of numbers"),
+    ("CorrectionPatch pair of four", lambda path: CorrectionPatch(pairs=((0, 1, 0.5, 9),)),
+     ValueError, "patch pair (0, 1, 0.5, 9) is not an (i, j, prob_i) triple of numbers"),
+    ("CorrectionPatch string index", lambda path: CorrectionPatch(pairs=(("0", 1, 0.5),)),
+     ValueError, "patch pair ('0', 1, 0.5) is not an (i, j, prob_i) triple of numbers"),
+    ("CorrectionPatch None probability", lambda path: CorrectionPatch(pairs=((0, 1, None),)),
+     ValueError, "patch pair (0, 1, None) is not an (i, j, prob_i) triple of numbers"),
     # each prediction's sample_id is labelled and predicted once
     ("accuracy repeated id", lambda path: accuracy([("a", 0), ("a", 0), ("b", 1)], TWO),
      ValueError, "duplicate sample_id 'a'"),
     ("confusion_matrix repeated id", lambda path: confusion_matrix(
         [("a", 0), ("b", 1), ("a", 0)], TWO),
      ValueError, "duplicate sample_id 'a'"),
+    # accuracy and confusion_matrix cover every labelled sample; pairwise_accuracy need not
+    ("accuracy unpredicted label", lambda path: accuracy([("a", 0)], TWO),
+     ValueError, "prediction sample_ids do not match label sample_ids"),
     ("pairwise_accuracy unlabelled id", lambda path: pairwise_accuracy(
         [("a", BinaryPrediction(0, 1, 0.7)), ("zz", BinaryPrediction(0, 1, 0.7))], TWO),
      ValueError, "prediction sample_ids do not match label sample_ids"),
